@@ -53,7 +53,9 @@ def show(model, name):
         ncf = report.noncontextual_fraction
         print(f"  noncontextual fraction: {ncf}")
         if Fraction(0) < ncf < 1:
-            _, _, residual = noncontextual_decomposition(model)
+            _, _, residual = noncontextual_decomposition(
+                model, report.solution
+            )
             print(
                 "  residual part is "
                 f"{classify(residual).level.label()} with supports "

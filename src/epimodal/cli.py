@@ -30,7 +30,7 @@ from .contextuality import (
     noncontextual_decomposition,
 )
 from .dot import bundle_dot
-from .empirical import EmpiricalModel, Semiring, check_no_disturbance
+from .empirical import EmpiricalModel, check_no_disturbance
 from .errors import DisturbingModel, EpimodalError
 from .modal import (
     TrustFlavor,
@@ -127,13 +127,13 @@ def _liar_obj(model: EmpiricalModel) -> dict | None:
     return {"found": False, "orders_tried": len(orders)}
 
 
-def analysis_report(model: EmpiricalModel, jobs: int = 1) -> dict:
+def analysis_report(model: EmpiricalModel) -> dict:
     """Everything the library can say about one model, as a JSON object."""
     nd = check_no_disturbance(model)
-    report = classify(model, jobs=jobs)
+    report = classify(model)
     decomposition = None
-    if model.semiring is Semiring.RATIONAL:
-        decomposition = noncontextual_decomposition(model)
+    if report.solution is not None:
+        decomposition = noncontextual_decomposition(model, report.solution)
     obj = {
         "model": {
             "measurements": list(model.scenario.measurements),
@@ -223,7 +223,7 @@ def _cmd_builtin(args) -> int:
 def _cmd_analyze(args) -> int:
     model = _load_model(args.model)
     try:
-        obj = analysis_report(model, jobs=args.jobs)
+        obj = analysis_report(model)
     except DisturbingModel as exc:
         payload = {
             "error": "disturbing model",
@@ -241,7 +241,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_bundle(args) -> int:
     model = _load_model(args.model)
-    _emit(bundle_dot(model, jobs=args.jobs), args.out)
+    _emit(bundle_dot(model), args.out)
     return 0
 
 
@@ -313,9 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--out", help="write output here instead of stdout")
-    shared.add_argument(
-        "--jobs", type=int, default=1, help="worker threads for enumeration"
-    )
     shared.add_argument(
         "--pretty", action="store_true", help="human-readable analyze output"
     )

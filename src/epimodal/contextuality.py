@@ -15,7 +15,6 @@ and logically contextual when some supported local section never extends.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,20 +53,23 @@ class ContextualityReport:
     level: HierarchyLevel
     global_support: tuple[GlobalSection, ...]
     non_extendable: tuple[tuple[Context, Section], ...]
-    noncontextual_fraction: Fraction | None
+    solution: ratlp.LpSolution | None
+
+    @property
+    def noncontextual_fraction(self) -> Fraction | None:
+        return None if self.solution is None else self.solution.value
 
 
 def _supports(model: EmpiricalModel) -> dict[Context, set[Section]]:
     return {ctx: support(model, ctx) for ctx in model.scenario.maximal_contexts}
 
 
-def global_sections(model: EmpiricalModel, jobs: int = 1) -> list[GlobalSection]:
+def global_sections(model: EmpiricalModel) -> list[GlobalSection]:
     """Global sections restricting into every context's support.
 
     Backtracks over measurements in declared order, pruning as soon as a
     fully assigned context leaves the support; the result is in lexicographic
-    outcome order.  ``jobs > 1`` fans the first measurement's branches out to
-    a thread pool (order is preserved).
+    outcome order.
     """
     scen = model.scenario
     supports = _supports(model)
@@ -96,16 +98,7 @@ def global_sections(model: EmpiricalModel, jobs: int = 1) -> list[GlobalSection]
                 found.extend(extend(nxt))
         return found
 
-    first = [
-        (outcome,)
-        for outcome in scen.outcomes[meas[0]]
-        if consistent((outcome,), 0)
-    ]
-    if jobs > 1 and len(first) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(extend, first))
-        return [g for chunk in chunks for g in chunk]
-    return [g for prefix in first for g in extend(prefix)]
+    return extend(())
 
 
 def extendable(model: EmpiricalModel, context: Iterable[str], section: Section) -> bool:
@@ -118,8 +111,10 @@ def extendable(model: EmpiricalModel, context: Iterable[str], section: Section) 
     )
 
 
-def _non_extendable(model: EmpiricalModel) -> list[tuple[Context, Section]]:
-    globals_ = global_sections(model)
+def _non_extendable(
+    model: EmpiricalModel, globals_: Sequence[GlobalSection]
+) -> list[tuple[Context, Section]]:
+    """Supported sections no global section in ``globals_`` restricts to."""
     images = {
         ctx: {sc.restrict(g, ctx) for g in globals_}
         for ctx in model.scenario.maximal_contexts
@@ -165,15 +160,18 @@ def noncontextual_fraction_certified(model: EmpiricalModel) -> ratlp.LpSolution:
 
 
 def noncontextual_decomposition(
-    model: EmpiricalModel,
+    model: EmpiricalModel, solution: ratlp.LpSolution | None = None
 ) -> tuple[Fraction, EmpiricalModel | None, EmpiricalModel | None]:
     """Split a rational model into noncontextual and residual parts.
 
     Returns (ncf, noncontextual part, residual part), both parts normalized
     models (or None at the degenerate weights 0 and 1), satisfying
-    ncf * nc + (1 - ncf) * residual == model cell by cell.
+    ncf * nc + (1 - ncf) * residual == model cell by cell.  ``solution`` is
+    the model's certified noncontextual-fraction LP solution (as carried by
+    ``classify``'s report); it is solved here only when not given.
     """
-    solution = noncontextual_fraction_certified(model)
+    if solution is None:
+        solution = noncontextual_fraction_certified(model)
     ncf = solution.value
     lam = sc.global_section_space(model.scenario)
     weights = dict(zip(lam, solution.point))
@@ -205,25 +203,27 @@ def noncontextual_decomposition(
     return ncf, nc_part, residual
 
 
-def classify(model: EmpiricalModel, jobs: int = 1) -> ContextualityReport:
+def classify(model: EmpiricalModel) -> ContextualityReport:
     """Place a non-disturbing model in the contextuality hierarchy.
 
     Strong and logical contextuality are decided on the Boolean collapse;
     rational models additionally get the noncontextual fraction, and are
-    probabilistically contextual when it falls below 1.
+    probabilistically contextual when it falls below 1.  The report
+    carries the certified LP solution behind that fraction (None for a
+    Boolean model), so ``noncontextual_decomposition`` can reuse it.
     """
     require_no_disturbance(model)
     shadow = possibilistic_collapse(model)
-    globals_ = tuple(global_sections(shadow, jobs=jobs))
-    witnesses = tuple(_non_extendable(shadow))
-    ncf = None
+    globals_ = tuple(global_sections(shadow))
+    witnesses = tuple(_non_extendable(shadow, globals_))
+    solution = None
     if model.semiring is Semiring.RATIONAL:
-        ncf = noncontextual_fraction(model)
+        solution = noncontextual_fraction_certified(model)
     if not globals_:
         level = HierarchyLevel.STRONGLY_CONTEXTUAL
     elif witnesses:
         level = HierarchyLevel.LOGICAL_CONTEXTUAL
-    elif ncf is not None and ncf < 1:
+    elif solution is not None and solution.value < 1:
         level = HierarchyLevel.PROBABILISTIC_CONTEXTUAL
     else:
         level = HierarchyLevel.NONCONTEXTUAL
@@ -231,7 +231,7 @@ def classify(model: EmpiricalModel, jobs: int = 1) -> ContextualityReport:
         level=level,
         global_support=globals_,
         non_extendable=witnesses,
-        noncontextual_fraction=ncf,
+        solution=solution,
     )
 
 

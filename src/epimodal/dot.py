@@ -24,9 +24,9 @@ def _node(measurement: str, outcome: str) -> str:
     return f'"{measurement}:{outcome}"'
 
 
-def bundle_dot(model: EmpiricalModel, jobs: int = 1) -> str:
+def bundle_dot(model: EmpiricalModel) -> str:
     """Render the possibilistic bundle of a non-disturbing model."""
-    report = classify(model, jobs=jobs)
+    report = classify(model)
     scen = model.scenario
     pair_contexts = [c for c in scen.maximal_contexts if len(c) == 2]
 

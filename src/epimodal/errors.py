@@ -152,7 +152,9 @@ class FormulaSyntaxError(ModalError):
 
 
 class UnknownAgent(ModalError):
-    pass
+    def __init__(self, agent):
+        self.agent = agent
+        super().__init__(f"unknown agent {agent!r}")
 
 
 class UnknownVariable(ModalError):

@@ -88,7 +88,9 @@ def model_from_obj(obj) -> EmpiricalModel:
             }
             for ctx_key, cells in obj["tables"].items()
         }
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (
+        AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError
+    ) as exc:
         raise ParseError(f"bad model object: {exc!r}") from exc
     return new_model(scenario, semiring, tables)
 
@@ -130,7 +132,7 @@ def topomodel_from_obj(obj, require_s4: bool = True) -> TopoModel:
             obj.get("valuation", {}),
             require_s4=require_s4,
         )
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad topomodel object: {exc!r}") from exc
 
 

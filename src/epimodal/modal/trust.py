@@ -23,9 +23,8 @@ import enum
 import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import reduce
 
-from ..errors import EmptyAgentSet, TrustPreconditionFailed, UnknownAgent
+from ..errors import EmptyAgentSet, TrustPreconditionFailed
 from .formulas import And, D, E, Formula, Iff, Implies, K, Not, Or, Var, to_text
 from .kripke import TopoModel, Worlds, eval_formula
 
@@ -33,10 +32,6 @@ from .kripke import TopoModel, Worlds, eval_formula
 class TrustFlavor(enum.Enum):
     E = "E"
     D = "D"
-
-
-def _group_successor_map(model: TopoModel, agents: frozenset[str], mode: str):
-    return model.group_successors(agents, mode)
 
 
 def _image(successors, subset: Worlds) -> Worlds:
@@ -61,8 +56,8 @@ def check_trust(
     g_trusted = frozenset(trusted)
     if not g_truster or not g_trusted:
         raise EmptyAgentSet("trust needs nonempty agent sets")
-    s_map = _group_successor_map(model, g_truster, "E")
-    t_map = _group_successor_map(model, g_trusted, flavor.value)
+    s_map = model.group_successors(g_truster, "E")
+    t_map = model.group_successors(g_trusted, flavor.value)
     return all(
         s_map[w] <= _image(t_map, s_map[w]) for w in model.worlds
     )
@@ -104,11 +99,8 @@ def check_trustworthy(model: TopoModel, i: str, j: str) -> bool:
     K{i}K{j}p -> K{i}p for all p; otherwise TrustPreconditionFailed.
     Relational criterion: R_j(w) inside R_j(R_i(w)) at every world.
     """
-    for agent in (i, j):
-        if agent not in model._successors:
-            raise UnknownAgent(agent)
-    r_i = model._successors[i]
-    r_j = model._successors[j]
+    r_i = model.group_successors(frozenset([i]), "E")
+    r_j = model.group_successors(frozenset([j]), "E")
     trusts = all(r_i[w] <= _image(r_j, r_i[w]) for w in model.worlds)
     if not trusts:
         raise TrustPreconditionFailed(f"{i} does not trust {j}")
@@ -116,8 +108,8 @@ def check_trustworthy(model: TopoModel, i: str, j: str) -> bool:
 
 
 def check_trustworthy_brute_force(model: TopoModel, i: str, j: str) -> bool:
-    r_i = model._successors[i]
-    r_j = model._successors[j]
+    r_i = model.group_successors(frozenset([i]), "E")
+    r_j = model.group_successors(frozenset([j]), "E")
     worlds = list(model.worlds)
     for bits in itertools.product((False, True), repeat=len(worlds)):
         a = frozenset(w for w, b in zip(worlds, bits) if b)
@@ -266,10 +258,12 @@ def fundamental_truth_check(
 
     (a) Vacuity: every pair of nonempty agent sets satisfies both trust
         flavors (the Truth Axiom makes trust free).
-    (b) Distributed truth: D{I}p -> p for all propositions; and when the
-        intersection relation R_D{I} is the identity, p <-> D{I}p holds for
-        every enumerated formula (knowledge pooled across all agents pins
-        the world down exactly).
+    (b) Distributed truth: D{I}p -> p for all propositions, which holds
+        exactly when the intersection relation R_D{I} is reflexive (for a
+        world w outside R_D{I}(w), p = R_D{I}(w) is a counterexample); and
+        when R_D{I} is the identity, p <-> D{I}p holds for every enumerated
+        formula (knowledge pooled across all agents pins the world down
+        exactly).
     """
     agents = model.agents
     failures = []
@@ -291,15 +285,12 @@ def fundamental_truth_check(
     group = frozenset(agents)
     d_map = model.group_successors(group, "D")
     identity = all(d_map[w] == frozenset([w]) for w in model.worlds)
-    distributed_truth = True
-    worlds = list(model.worlds)
-    for bits in itertools.product((False, True), repeat=len(worlds)):
-        subset = frozenset(w for w, b in zip(worlds, bits) if b)
-        known = frozenset(w for w in worlds if d_map[w] <= subset)
-        if not known <= subset:
-            distributed_truth = False
-            failures.append(f"D implies truth fails on {sorted(subset)}")
-            break
+    non_reflexive = next((w for w in model.worlds if w not in d_map[w]), None)
+    distributed_truth = non_reflexive is None
+    if not distributed_truth:
+        failures.append(
+            f"D implies truth fails on {sorted(d_map[non_reflexive])}"
+        )
 
     identity_equiv = None
     if identity:

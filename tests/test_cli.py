@@ -3,7 +3,9 @@ import pathlib
 
 import pytest
 
-from epimodal.cli import cycle_order, main
+import epimodal.contextuality
+import epimodal.ratlp
+from epimodal.cli import analysis_report, cycle_order, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -116,6 +118,44 @@ def test_analyze_unparseable_exit_2(tmp_path):
     assert main(["analyze", str(bad)]) == 2
 
 
+def assert_one_line_error(capsys, expected=None):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if expected is not None:
+        assert err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("tables", ["x", ["A,B"], {"A,B": "x"}])
+def test_analyze_non_object_tables_exit_2(tmp_path, capsys, tables):
+    run(["builtin", "fr"], tmp_path, "model.json")
+    obj = json.loads((tmp_path / "model.json").read_text())
+    obj["tables"] = tables
+    (tmp_path / "bad.json").write_text(json.dumps(obj))
+    assert main(["analyze", str(tmp_path / "bad.json")]) == 2
+    assert_one_line_error(capsys)
+
+
+def test_analyze_runs_each_stage_once(fr_model, monkeypatch):
+    calls = {"solve": 0, "global_sections": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        epimodal.ratlp, "solve", counting("solve", epimodal.ratlp.solve)
+    )
+    monkeypatch.setattr(
+        epimodal.contextuality, "global_sections",
+        counting("global_sections", epimodal.contextuality.global_sections),
+    )
+    analysis_report(fr_model)
+    assert calls == {"solve": 1, "global_sections": 1}
+
+
 def test_analyze_pretty(tmp_path, capsys):
     run(["builtin", "fr"], tmp_path, "model.json")
     code = main(["analyze", str(tmp_path / "model.json"), "--pretty"])
@@ -175,6 +215,27 @@ def test_modal_syntax_error_exit_2(tmp_path, capsys):
     }))
     assert main(["modal", "eval", str(topo), "-f", "K{a} (p"]) == 2
     assert "position" in capsys.readouterr().err
+
+
+def test_modal_relation_as_string_exit_2(tmp_path, capsys):
+    topo = tmp_path / "topo.json"
+    topo.write_text(json.dumps({
+        "worlds": ["u", "v"], "agents": ["a"],
+        "relations": {"a": "uv"}, "valuation": {},
+    }))
+    assert main(["modal", "truth", str(topo)]) == 2
+    assert_one_line_error(capsys)
+
+
+def test_modal_unknown_agent_message(tmp_path, capsys):
+    topo = tmp_path / "topo.json"
+    topo.write_text(json.dumps({
+        "worlds": ["u"], "agents": ["a"],
+        "relations": {"a": [["u", "u"]]}, "valuation": {},
+    }))
+    assert main(["modal", "trust", str(topo),
+                 "--truster", "zz", "--trusted", "a"]) == 2
+    assert_one_line_error(capsys, "unknown agent 'zz'")
 
 
 def test_cycle_order(fr_model):

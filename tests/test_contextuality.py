@@ -96,10 +96,6 @@ def test_global_sections_deterministic_single_context():
     assert [g.key() for g in global_sections(m)] == ["0,1"]
 
 
-def test_global_sections_jobs_agree(fr_model):
-    assert global_sections(fr_model, jobs=2) == global_sections(fr_model)
-
-
 def test_extendable(fr_model):
     scen = fr_model.scenario
     bad = scen.section({"U": "1", "W": "1"})
@@ -207,6 +203,14 @@ def test_decomposition_degenerate_cases(pr_model):
     ncf, nc, residual = noncontextual_decomposition(lift)
     assert ncf == 0 and nc is None
     assert residual == lift
+
+
+def test_decomposition_reuses_classify_solution(fr_model, pr_model):
+    for model in (fr_model, uniform_rational_lift(pr_model), noisy_pr_model()):
+        solution = classify(model).solution
+        assert solution.value == noncontextual_fraction(model)
+        reused = noncontextual_decomposition(model, solution)
+        assert noncontextual_decomposition(model) == reused
 
 
 def test_ncf_monotone_under_noise(fr_model):

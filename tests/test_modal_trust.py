@@ -1,3 +1,4 @@
+import ast
 import itertools
 import random
 
@@ -208,6 +209,39 @@ def test_fundamental_truth_small_models():
         report = fundamental_truth_check(m)
         assert report.vacuity_holds
         assert report.distributed_truth_holds
+
+
+def distributed_truth_brute_force(model):
+    """Oracle: D{I}p -> p checked on every subset of worlds as p."""
+    d_map = model.group_successors(frozenset(model.agents), "D")
+    worlds = list(model.worlds)
+    for bits in itertools.product((False, True), repeat=len(worlds)):
+        subset = frozenset(w for w, b in zip(worlds, bits) if b)
+        known = frozenset(w for w in worlds if d_map[w] <= subset)
+        if not known <= subset:
+            return False
+    return True
+
+
+def test_fundamental_truth_matches_brute_force_on_arbitrary_relations():
+    rng = random.Random(29)
+    prefix = "D implies truth fails on "
+    failed = 0
+    for _ in range(300):
+        m = random_raw_model(rng, n_worlds=rng.randint(1, 6),
+                             n_agents=rng.randint(1, 3))
+        report = fundamental_truth_check(m, depth=1, limit=10)
+        expected = distributed_truth_brute_force(m)
+        assert report.distributed_truth_holds == expected
+        if report.distributed_truth_holds:
+            continue
+        failed += 1
+        [text] = [f for f in report.failures if f.startswith(prefix)]
+        subset = frozenset(ast.literal_eval(text[len(prefix):]))
+        d_map = m.group_successors(frozenset(m.agents), "D")
+        known = frozenset(w for w in m.worlds if d_map[w] <= subset)
+        assert not known <= subset  # a real counterexample
+    assert 0 < failed < 300
 
 
 def test_fundamental_truth_identity_distributed():
