@@ -148,14 +148,14 @@ def noncontextual_fraction_certified(model: EmpiricalModel) -> ratlp.LpSolution:
     rows = []
     bounds = []
     for ctx in model.scenario.maximal_contexts:
+        row_of = {}
         for section in sc.sections(model.scenario, ctx):
-            rows.append(
-                tuple(
-                    Fraction(int(sc.restrict(g, ctx) == section)) for g in lam
-                )
-            )
+            row_of[section] = len(rows)
+            rows.append([0] * len(lam))
             bounds.append(model.tables[ctx][section])
-    lp = ratlp.LinearProgram.build([Fraction(1)] * len(lam), rows, bounds)
+        for j, g in enumerate(lam):
+            rows[row_of[sc.restrict(g, ctx)]][j] = 1
+    lp = ratlp.LinearProgram.build([1] * len(lam), rows, bounds)
     return ratlp.solve(lp)
 
 

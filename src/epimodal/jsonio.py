@@ -1,7 +1,8 @@
 """JSON forms of scenarios, models, Kripke structures and reports.
 
 All numeric values serialize as exact rational strings ("1/3", "0", "1");
-floats never appear in a file.  Dynamic keys (contexts, cells) are emitted
+floats never appear in a file, and reading one rejects any cell that is not
+such a string.  Dynamic keys (contexts, cells) are emitted
 in canonical sorted order so that serialization is byte-stable and golden
 files can be compared verbatim.
 
@@ -19,6 +20,7 @@ Field names are part of the on-disk contract:
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .contextuality import ContextualityReport
@@ -34,6 +36,16 @@ class ParseError(EpimodalError):
 
 def _rat(value: Fraction) -> str:
     return str(Fraction(value))
+
+
+# The only cell form a file may hold: no floats, exponents, spaces or "_".
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _cell(value) -> Fraction:
+    if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
+        raise ParseError(f"cell {value!r} is not a rational string like \"1/3\"")
+    return Fraction(value)
 
 
 def _context_key(context) -> str:
@@ -84,7 +96,7 @@ def model_from_obj(obj) -> EmpiricalModel:
         semiring = Semiring(obj["semiring"])
         tables = {
             ctx_key: {
-                cell: Fraction(value) for cell, value in cells.items()
+                cell: _cell(value) for cell, value in cells.items()
             }
             for ctx_key, cells in obj["tables"].items()
         }

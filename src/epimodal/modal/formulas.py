@@ -10,7 +10,8 @@ the connectives):
 
 ``box{i}`` is a synonym for ``K{i}``; ``dia{i} p`` is normalized structurally
 to ``!K{i}!p`` at parse time, so the AST only carries Var, Not, And, Or,
-Implies, Iff, K, E and D nodes.  Printing emits minimal parentheses and
+Implies, Iff, K, E and D nodes.  Nesting deeper than ``MAX_DEPTH`` levels
+is a syntax error.  Printing emits minimal parentheses and
 round-trips: parse(print(f)) == f for every normalized AST.
 """
 
@@ -131,10 +132,19 @@ def _modal_parts(token: str, position: int) -> tuple[str, tuple[str, ...]]:
     return head, agents
 
 
+# Deepest nesting the parser accepts.  Each "!", modality and "(" is one
+# level, and so is each further operand of a "&", "|", "->" or "<->" chain;
+# "dia" is three, as its normal form !K!, so printed formulas parse again.
+# A level costs the parser at most six Python frames and the printer and
+# both evaluators one each, well inside the default recursion limit of 1000.
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.at = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.at]
@@ -143,6 +153,13 @@ class _Parser:
         token = self.tokens[self.at]
         self.at += 1
         return token
+
+    def enter(self, position: int, levels: int = 1) -> None:
+        self.depth += levels
+        if self.depth > MAX_DEPTH:
+            raise FormulaSyntaxError(
+                f"formula nested deeper than {MAX_DEPTH} levels", position
+            )
 
     def parse(self) -> Formula:
         formula = self.iff()
@@ -154,40 +171,56 @@ class _Parser:
     def iff(self) -> Formula:
         left = self.implies()
         if self.peek()[0] == "iff":
-            self.take()
-            return Iff(left, self.iff())
+            self.enter(self.take()[2])
+            right = self.iff()
+            self.depth -= 1
+            return Iff(left, right)
         return left
 
     def implies(self) -> Formula:
         left = self.or_()
         if self.peek()[0] == "implies":
-            self.take()
-            return Implies(left, self.implies())
+            self.enter(self.take()[2])
+            right = self.implies()
+            self.depth -= 1
+            return Implies(left, right)
         return left
 
     def or_(self) -> Formula:
         left = self.and_()
+        links = 0
         while self.peek()[0] == "or":
-            self.take()
+            self.enter(self.take()[2])
+            links += 1
             left = Or(left, self.and_())
+        self.depth -= links
         return left
 
     def and_(self) -> Formula:
         left = self.unary()
+        links = 0
         while self.peek()[0] == "and":
-            self.take()
+            self.enter(self.take()[2])
+            links += 1
             left = And(left, self.unary())
+        self.depth -= links
         return left
 
     def unary(self) -> Formula:
         kind, value, pos = self.peek()
         if kind == "not":
             self.take()
-            return Not(self.unary())
+            self.enter(pos)
+            operand = self.unary()
+            self.depth -= 1
+            return Not(operand)
         if kind == "modal":
             self.take()
             head, agents = _modal_parts(value, pos)
+            levels = 3 if head == "dia" else 1  # printed back as !K{i}!
+            self.enter(pos, levels)
             operand = self.unary()
+            self.depth -= levels
             if head in ("K", "box"):
                 if len(agents) != 1:
                     raise FormulaSyntaxError(
@@ -207,7 +240,9 @@ class _Parser:
         if kind == "var":
             return Var(value)
         if kind == "lparen":
+            self.enter(pos)
             inner = self.iff()
+            self.depth -= 1
             kind, value, pos = self.take()
             if kind != "rparen":
                 raise FormulaSyntaxError("expected ')'", pos)

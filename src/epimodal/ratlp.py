@@ -2,20 +2,35 @@
 
 Canonical form only: maximize c.x subject to A.x <= u, x >= 0, with u >= 0
 so the origin is always feasible and no phase-1 is needed.  The pivot rule
-is Bland's (smallest index), which cannot cycle, and all arithmetic is
-``fractions.Fraction``, so returned optima are exact.
+is Bland's (smallest index), which cannot cycle.
+
+The tableau is kept over the integers (fraction-free pivoting, Edmonds 1967
+and Bareiss 1968, the simplex form lrs uses).  Multiplying every row and
+the objective by the lcm L of the LP's denominators gives the integer
+tableau [L.A | I | L.u]; it is the LP with each slack variable multiplied
+by L, so every ratio of one ratio test scales by the same positive factor
+and every reduced cost keeps its sign, and the duals read off the slack
+columns are unchanged.  All entries then share one denominator, the last
+pivot, and each update divides by the one before exactly.  The entering
+and leaving choices, and with them the returned vertex, dual point and
+pivot count, are those of the same simplex over ``Fraction``s, and point
+and dual point are returned as ``fractions.Fraction``.
 
 Every OPTIMAL solution ships with a dual point; the solver verifies primal
-feasibility, dual feasibility and strong duality before returning, so the
-pair (point, dual_point) is a checked optimality certificate.
+feasibility, dual feasibility and strong duality in ``Fraction`` arithmetic
+on the original LP before returning, so the pair (point, dual_point) is a
+checked optimality certificate independent of the integer tableau.
 
-Problem sizes in this package are tiny (tens of variables), which is why a
-dense tableau is the right tool; no sparse or revised variants.
+The tableau is dense: an LP of the noncontextual fraction has one column
+per global assignment and one row per local section, hundreds by tens on
+the n-cycles this package is run on.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,19 +75,50 @@ class LpSolution:
 
 
 def _verify_certificate(lp: LinearProgram, x, y, value) -> None:
-    n = len(lp.objective)
+    # Each sum runs over the nonzero terms only: the terms skipped are 0.
+    primal = [(j, v) for j, v in enumerate(x) if v]
+    dual = [(i, w) for i, w in enumerate(y) if w]
     for row, bound in zip(lp.rows, lp.bounds):
-        if sum(a * v for a, v in zip(row, x)) > bound:
+        if sum(a * v for j, v in primal if (a := row[j])) > bound:
             raise Malformed("internal: primal point violates a constraint")
     if any(v < 0 for v in x) or any(w < 0 for w in y):
         raise Malformed("internal: certificate has a negative component")
-    for j in range(n):
-        reduced = sum(y[i] * lp.rows[i][j] for i in range(len(lp.rows)))
-        if reduced < lp.objective[j]:
+    for j, c in enumerate(lp.objective):
+        if sum(w * a for i, w in dual if (a := lp.rows[i][j])) < c:
             raise Malformed("internal: dual point is infeasible")
     dual_value = sum(w * b for w, b in zip(y, lp.bounds))
     if dual_value != value:
         raise Malformed("internal: strong duality does not hold")
+
+
+def _integer_tableau(lp: LinearProgram) -> tuple[int, list[list[int]], list[int]]:
+    """(L, rows [L.A | I | L.u], cost row [-L.c | 0 | 0]) over the integers,
+    L being the lcm of every denominator in the LP."""
+    scale = math.lcm(
+        *{v.denominator for v in itertools.chain(lp.objective, lp.bounds, *lp.rows)}
+    )
+
+    def scaled(values):
+        return [v.numerator * (scale // v.denominator) for v in values]
+
+    m = len(lp.rows)
+    rhs = scaled(lp.bounds)
+    tab = [
+        scaled(row) + [int(i == k) for k in range(m)] + [rhs[i]]
+        for i, row in enumerate(lp.rows)
+    ]
+    cost = [-v for v in scaled(lp.objective)] + [0] * (m + 1)
+    return scale, tab, cost
+
+
+def _eliminate(row: list[int], prow: list[int], pivot: int, den: int, col: int):
+    """(pivot*row - row[col]*prow) / den, exactly."""
+    f = row[col]
+    if f == 0:
+        if pivot == den:
+            return row
+        return [pivot * a // den for a in row]
+    return [(pivot * a - f * b) // den for a, b in zip(row, prow)]
 
 
 def solve(
@@ -92,14 +138,10 @@ def solve(
         trace = lambda i, basis: stream.write(f"pivot {i}: basis {list(basis)}\n")
     n = len(lp.objective)
     m = len(lp.rows)
-    # tableau rows: [A | I | rhs]; objective row holds reduced costs z - c.
-    tab = [
-        [Fraction(v) for v in lp.rows[i]]
-        + [Fraction(int(i == k)) for k in range(m)]
-        + [Fraction(lp.bounds[i])]
-        for i in range(m)
-    ]
-    cost = [-Fraction(v) for v in lp.objective] + [Fraction(0)] * (m + 1)
+    scale, tab, cost = _integer_tableau(lp)
+    # tab / den and cost / den are the tableau and reduced costs of the LP
+    # scaled by L; den is the last pivot (1 before the first).
+    den = 1
     basis = list(range(n, n + m))
 
     pivots = 0
@@ -110,41 +152,43 @@ def solve(
         if trace is not None:
             trace(pivots, tuple(basis))
         leaving = None
-        best = None
         for i in range(m):
             coeff = tab[i][entering]
             if coeff > 0:
-                ratio = tab[i][-1] / coeff
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leaving]
-                ):
-                    best = ratio
+                if leaving is None:
+                    leaving = i
+                    continue
+                # ratio rhs/coeff against the best row's, cross-multiplied
+                here = tab[i][-1] * tab[leaving][entering]
+                best = tab[leaving][-1] * coeff
+                if here < best or (here == best and basis[i] < basis[leaving]):
                     leaving = i
         if leaving is None:
+            # slack columns carry a factor 1/L against the unscaled LP
+            unit = Fraction(scale if entering >= n else 1, den)
             ray = [Fraction(0)] * n
             if entering < n:
                 ray[entering] = Fraction(1)
             for i in range(m):
                 if basis[i] < n:
-                    ray[basis[i]] = -tab[i][entering]
+                    ray[basis[i]] = -tab[i][entering] * unit
             raise Unbounded(tuple(ray))
-        pivot = tab[leaving][entering]
-        tab[leaving] = [v / pivot for v in tab[leaving]]
+        prow = tab[leaving]
+        pivot = prow[entering]
+        # Edmonds/Bareiss step: every division by the old den is exact.
         for i in range(m):
-            if i != leaving and tab[i][entering] != 0:
-                f = tab[i][entering]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leaving])]
-        if cost[entering] != 0:
-            f = cost[entering]
-            cost = [a - f * b for a, b in zip(cost, tab[leaving] + [])]
+            if i != leaving:
+                tab[i] = _eliminate(tab[i], prow, pivot, den, entering)
+        cost = _eliminate(cost, prow, pivot, den, entering)
+        den = pivot
         basis[leaving] = entering
         pivots += 1
 
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = tab[i][-1]
-    y = tuple(cost[n + i] for i in range(m))
+            x[var] = Fraction(tab[i][-1], den)
+    y = tuple(Fraction(cost[n + i], den) for i in range(m))
     value = sum(c * v for c, v in zip(lp.objective, x))
     _verify_certificate(lp, x, y, value)
     return LpSolution(
@@ -154,3 +198,4 @@ def solve(
         dual_point=y,
         pivots=pivots,
     )
+

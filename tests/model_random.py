@@ -6,11 +6,13 @@ sides of the FAB equivalence populated: supports drawn as the restriction
 image of a random set of global assignments (always extendable), and
 fully random supports filtered by the no-disturbance check (frequently
 contextual); odd-parity patterns on cycles are injected for guaranteed
-strong contextuality.
+strong contextuality.  ``noisy_cycle_model`` gives the rational n-cycles
+whose noncontextual-fraction LPs the solver suites run on.
 """
 
 import itertools
 import random
+from fractions import Fraction
 
 from epimodal import Semiring, check_no_disturbance, is_connected, new_model, new_scenario
 from epimodal.scenario import Section, global_section_space, restrict
@@ -25,6 +27,31 @@ SHAPES = [
     (4, [{"A", "B"}, {"A", "C"}, {"A", "D"}]),            # star
     (4, [{"A", "B", "C"}, {"C", "D"}]),                   # mixed arity
 ]
+
+
+def noisy_cycle_model(noise, odd_at=0):
+    """Rational n-cycle, n = len(noise): context i is (1 - v_i) times a
+    parity box plus v_i times uniform noise.
+
+    The box supports the outcome pairs whose XOR is 1 at context ``odd_at``
+    and 0 elsewhere, each with weight 1/2, so every marginal is uniform and
+    the model is non-disturbing; its noncontextual fraction is
+    min(1, sum(noise) / 2).
+    """
+    n = len(noise)
+    meas = [f"M{i}" for i in range(n)]
+    contexts = [(meas[i], meas[(i + 1) % n]) for i in range(n)]
+    scen = new_scenario(meas, contexts, {m: ["0", "1"] for m in meas})
+    tables = {}
+    for i, ctx in enumerate(contexts):
+        v = Fraction(noise[i])
+        tables[ctx] = {
+            scen.section(dict(zip(ctx, values))): v / 4 + (
+                (1 - v) / 2 if (values[0] != values[1]) == (i == odd_at) else 0
+            )
+            for values in itertools.product("01", repeat=2)
+        }
+    return new_model(scen, Semiring.RATIONAL, tables)
 
 
 def _scenario(shape):

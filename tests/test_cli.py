@@ -136,6 +136,16 @@ def test_analyze_non_object_tables_exit_2(tmp_path, capsys, tables):
     assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("cell", [0.0, "1e400", "1/3 "])
+def test_analyze_non_rational_cell_exit_2(tmp_path, capsys, cell):
+    run(["builtin", "fr"], tmp_path, "model.json")
+    obj = json.loads((tmp_path / "model.json").read_text())
+    obj["tables"]["A,B"]["0,1"] = cell
+    (tmp_path / "bad.json").write_text(json.dumps(obj))
+    assert main(["analyze", str(tmp_path / "bad.json")]) == 2
+    assert_one_line_error(capsys)
+
+
 def test_analyze_runs_each_stage_once(fr_model, monkeypatch):
     calls = {"solve": 0, "global_sections": 0}
 
@@ -215,6 +225,16 @@ def test_modal_syntax_error_exit_2(tmp_path, capsys):
     }))
     assert main(["modal", "eval", str(topo), "-f", "K{a} (p"]) == 2
     assert "position" in capsys.readouterr().err
+
+
+def test_modal_deeply_nested_formula_exit_2(tmp_path, capsys):
+    topo = tmp_path / "topo.json"
+    topo.write_text(json.dumps({
+        "worlds": ["u"], "agents": ["a"],
+        "relations": {"a": [["u", "u"]]}, "valuation": {"p": ["u"]},
+    }))
+    assert main(["modal", "eval", str(topo), "-f", "!" * 3000 + "p"]) == 2
+    assert_one_line_error(capsys)
 
 
 def test_modal_relation_as_string_exit_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,8 @@ from epimodal import (
     support,
     uniform_rational_lift,
 )
+import epimodal.ratlp
+import epimodal.scenario
 from epimodal.contextuality import noncontextual_fraction_certified
 from epimodal.errors import (
     DisturbingModel,
@@ -27,7 +30,10 @@ from epimodal.errors import (
     SectionNotInSupport,
     WrongSemiring,
 )
-from epimodal.scenario import Section, global_section_space, restrict
+from epimodal.ratlp import LinearProgram
+from epimodal.ratlp import solve as ratlp_solve
+from epimodal.scenario import Section, global_section_space, restrict, sections
+from model_random import noisy_cycle_model
 
 F = Fraction
 
@@ -211,6 +217,38 @@ def test_decomposition_reuses_classify_solution(fr_model, pr_model):
         assert solution.value == noncontextual_fraction(model)
         reused = noncontextual_decomposition(model, solution)
         assert noncontextual_decomposition(model) == reused
+
+
+def test_ncf_lp_build_restricts_once_per_context_and_assignment(monkeypatch):
+    model = noisy_cycle_model([F(1, 12), F(1, 8), F(1, 6), F(1, 4), F(1, 3), F(1, 2)])
+    scen = model.scenario
+    lam = global_section_space(scen)
+    calls = Counter()
+    lps = []
+
+    def counting_restrict(section, ctx):
+        # the no-disturbance check restricts local sections: not counted
+        if section.context == scen.measurements:
+            calls[ctx] += 1
+        return restrict(section, ctx)
+
+    monkeypatch.setattr(epimodal.scenario, "restrict", counting_restrict)
+    monkeypatch.setattr(
+        epimodal.ratlp, "solve",
+        lambda lp, trace=None: lps.append(lp) or ratlp_solve(lp),
+    )
+    noncontextual_fraction_certified(model)
+    assert calls == {ctx: len(lam) for ctx in scen.maximal_contexts}
+    assert sum(calls.values()) == 6 * 64
+    # the LP of one row per (context, section) and one column per global
+    # assignment, as a comprehension over every (section, assignment) pair
+    rows = []
+    bounds = []
+    for ctx in scen.maximal_contexts:
+        for section in sections(scen, ctx):
+            rows.append([F(int(restrict(g, ctx) == section)) for g in lam])
+            bounds.append(model.tables[ctx][section])
+    assert lps == [LinearProgram.build([F(1)] * len(lam), rows, bounds)]
 
 
 def test_ncf_monotone_under_noise(fr_model):

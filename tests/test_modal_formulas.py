@@ -12,11 +12,15 @@ from epimodal.modal import (
     K,
     Not,
     Or,
+    TopoModel,
     Var,
     diamond,
+    eval_formula,
+    eval_topological,
     parse,
     to_text,
 )
+from epimodal.modal.formulas import MAX_DEPTH
 
 
 def test_axiom_t_shape():
@@ -88,3 +92,34 @@ def formulas(depth):
 @given(formulas(4))
 def test_parse_print_round_trip(formula):
     assert parse(to_text(formula)) == formula
+
+
+NESTED = {
+    "not": lambda k: "!" * k + "p",
+    "paren": lambda k: "(" * k + "p" + ")" * k,
+    "implies": lambda k: " -> ".join(["p"] * (k + 1)),
+    "and": lambda k: " & ".join(["p"] * (k + 1)),
+    "modal": lambda k: "D{a,b} " * k + "p",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_limit(shape):
+    model = TopoModel.make(
+        ["u", "v"], ["a", "b"],
+        {"a": [("u", "u"), ("v", "v"), ("u", "v")], "b": [("u", "u"), ("v", "v")]},
+        {"p": ["u"]},
+    )
+    deepest = parse(NESTED[shape](MAX_DEPTH))
+    assert eval_formula(model, deepest) == eval_topological(model, deepest)
+    assert parse(to_text(deepest)) == deepest
+    with pytest.raises(FormulaSyntaxError, match="nested deeper"):
+        parse(NESTED[shape](MAX_DEPTH + 1))
+
+
+def test_dia_counts_as_its_normal_form():
+    # dia{a} p prints as !K{a} !p, so it takes three levels of the limit
+    deepest = parse("dia{a} " * (MAX_DEPTH // 3) + "p")
+    assert parse(to_text(deepest)) == deepest
+    with pytest.raises(FormulaSyntaxError, match="nested deeper"):
+        parse("dia{a} " * (MAX_DEPTH // 3 + 1) + "p")

@@ -5,10 +5,81 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epimodal.contextuality import noncontextual_fraction_certified
 from epimodal.errors import Malformed, Unbounded
-from epimodal.ratlp import LinearProgram, LpStatus, solve
+from epimodal.ratlp import LinearProgram, LpStatus, _verify_certificate, solve
+from model_random import noisy_cycle_model
 
 F = Fraction
+
+
+def fraction_tableau_solve(lp: LinearProgram, trace):
+    """Reference simplex on a ``Fraction`` tableau [A | I | u]: Bland's
+    entering rule, the minimum ratio leaving with ties to the smaller basis
+    index.  Returns (value, point, dual point, pivots); raises Unbounded
+    with the improving ray read off the entering column."""
+    n, m = len(lp.objective), len(lp.rows)
+    tab = [
+        list(lp.rows[i]) + [F(int(i == k)) for k in range(m)] + [lp.bounds[i]]
+        for i in range(m)
+    ]
+    cost = [-v for v in lp.objective] + [F(0)] * (m + 1)
+    basis = list(range(n, n + m))
+    pivots = 0
+    while True:
+        entering = next((j for j in range(n + m) if cost[j] < 0), None)
+        if entering is None:
+            break
+        trace(pivots, tuple(basis))
+        leaving, best = None, None
+        for i in range(m):
+            if tab[i][entering] > 0:
+                ratio = tab[i][-1] / tab[i][entering]
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leaving]
+                ):
+                    leaving, best = i, ratio
+        if leaving is None:
+            ray = [F(int(j == entering)) for j in range(n)]
+            for i in range(m):
+                if basis[i] < n:
+                    ray[basis[i]] = -tab[i][entering]
+            raise Unbounded(tuple(ray))
+        pivot_row = [v / tab[leaving][entering] for v in tab[leaving]]
+        tab[leaving] = pivot_row
+        for i in range(m):
+            f = tab[i][entering]
+            if i != leaving and f:
+                tab[i] = [a - f * b for a, b in zip(tab[i], pivot_row)]
+        f = cost[entering]
+        cost = [a - f * b for a, b in zip(cost, pivot_row)]
+        basis[leaving] = entering
+        pivots += 1
+    x = [F(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = tab[i][-1]
+    value = sum(c * v for c, v in zip(lp.objective, x))
+    return value, tuple(x), tuple(cost[n:n + m]), pivots
+
+
+def run_both(lp):
+    """Outcomes of ``solve`` and of the reference, each with its trace of
+    bases: (value, point, dual point, pivots, bases) or ("unbounded", ray,
+    bases)."""
+
+    def integer(trace):
+        sol = solve(lp, trace=trace)
+        return sol.value, sol.point, sol.dual_point, sol.pivots
+
+    outcomes = []
+    for run in (integer, lambda trace: fraction_tableau_solve(lp, trace)):
+        bases = []
+        try:
+            outcomes.append((*run(lambda i, basis: bases.append(basis)), bases))
+        except Unbounded as exc:
+            outcomes.append(("unbounded", exc.ray, bases))
+    return outcomes
 
 
 def brute_force_optimum(lp: LinearProgram):
@@ -166,3 +237,82 @@ def test_variable_order_invariance(perm, data):
             solve(permuted)
         return
     assert solve(permuted).value == expected
+
+
+signed_entry = st.builds(
+    F, st.integers(min_value=-4, max_value=6), st.integers(min_value=1, max_value=6)
+)
+bound_entry = st.builds(
+    F, st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=6)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    st.data(),
+)
+def test_matches_fraction_tableau_oracle(n, m, data):
+    lp = LinearProgram.build(
+        [data.draw(signed_entry) for _ in range(n)],
+        [[data.draw(signed_entry) for _ in range(n)] for _ in range(m)],
+        [data.draw(bound_entry) for _ in range(m)],
+    )
+    integer, reference = run_both(lp)
+    assert integer == reference
+    if integer[0] == "unbounded":
+        ray = integer[1]
+        assert all(v >= 0 for v in ray)
+        assert all(sum(a * v for a, v in zip(row, ray)) <= 0 for row in lp.rows)
+        assert sum(c * v for c, v in zip(lp.objective, ray)) > 0
+
+
+def test_unbounded_ray_through_an_entering_slack():
+    # both structural columns are basic when the simplex stops, so the ray
+    # is read off a slack column, whose entries in the integer tableau
+    # [3A | I | 3u] are 1/3 of those in the Fraction tableau [A | I | u]
+    lp = LinearProgram.build([1, 1], [[3, 0], [F(4, 3), F(-4, 3)]], [F(5, 3), 0])
+    integer, reference = run_both(lp)
+    assert integer == reference
+    assert integer[:2] == ("unbounded", (F(0), F(3, 4)))
+    assert set(integer[2][-1]) == {0, 1}
+
+
+NOISE = [F(1, 12), F(1, 8), F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(1, 5)]
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_ncycle_lp_matches_fraction_tableau_oracle(n, monkeypatch):
+    model = noisy_cycle_model(NOISE[:n], odd_at=n // 2)
+    lps = []
+    monkeypatch.setattr(
+        "epimodal.ratlp.solve", lambda lp, trace=None: lps.append(lp) or solve(lp)
+    )
+    noncontextual_fraction_certified(model)
+    (lp,) = lps
+    integer, reference = run_both(lp)
+    assert integer == reference
+    assert integer[0] == min(1, sum(NOISE[:n]) / 2)
+    assert integer[3] > 0
+
+
+# One LP, its optimum x = (1/2, 1/2) with dual y = (1, 0) and value 1, and
+# one corrupted certificate per check of _verify_certificate.
+CERTIFIED = LinearProgram.build([1, 1], [[1, 1], [1, 0]], [1, F(1, 2)])
+
+
+def test_verify_certificate_accepts_the_optimum():
+    _verify_certificate(CERTIFIED, [F(1, 2), F(1, 2)], (F(1), F(0)), F(1))
+
+
+@pytest.mark.parametrize("x,y,value,message", [
+    ([F(1, 2), F(3, 4)], (F(1), F(0)), F(5, 4), "violates a constraint"),
+    ([F(-1, 2), F(1)], (F(1), F(0)), F(1, 2), "negative component"),
+    ([F(1, 2), F(1, 2)], (F(1), F(-1)), F(1), "negative component"),
+    ([F(1, 2), F(1, 2)], (F(0), F(2)), F(1), "dual point is infeasible"),
+    ([F(1, 2), F(1, 2)], (F(1), F(1)), F(1), "strong duality"),
+])
+def test_verify_certificate_rejects(x, y, value, message):
+    with pytest.raises(Malformed, match=message):
+        _verify_certificate(CERTIFIED, x, y, value)
