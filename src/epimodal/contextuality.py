@@ -72,20 +72,22 @@ def global_sections(model: EmpiricalModel) -> list[GlobalSection]:
     outcome order.
     """
     scen = model.scenario
-    supports = _supports(model)
     meas = scen.measurements
-    # contexts become checkable once their last measurement is assigned
-    ready: dict[int, list[Context]] = {i: [] for i in range(len(meas))}
-    for ctx in scen.maximal_contexts:
-        ready[max(meas.index(m) for m in ctx)].append(ctx)
+    # contexts become checkable once their last measurement is assigned: then
+    # the prefix is projected onto the context and looked up among the
+    # values of its supported sections
+    ready: dict[int, list] = {i: [] for i in range(len(meas))}
+    for ctx, supported in _supports(model).items():
+        last = max(meas.index(m) for m in ctx)
+        ready[last].append((
+            sc.projection(meas[: last + 1], ctx),
+            {sec.values for sec in supported},
+        ))
 
     def consistent(prefix: tuple[str, ...], upto: int) -> bool:
-        assigned = dict(zip(meas[: upto + 1], prefix))
-        for ctx in ready[upto]:
-            restriction = Section(ctx, tuple(assigned[m] for m in ctx))
-            if restriction not in supports[ctx]:
-                return False
-        return True
+        return all(
+            project(prefix) in supported for project, supported in ready[upto]
+        )
 
     def extend(prefix: tuple[str, ...]) -> list[GlobalSection]:
         depth = len(prefix)
@@ -106,8 +108,9 @@ def extendable(model: EmpiricalModel, context: Iterable[str], section: Section) 
     ctx = model.scenario.canonical_context(context)
     if section not in support(model, ctx):
         raise SectionNotInSupport(section)
+    project = sc.projection(model.scenario.measurements, ctx)
     return any(
-        sc.restrict(g, ctx) == section for g in global_sections(model)
+        project(g.values) == section.values for g in global_sections(model)
     )
 
 
@@ -115,14 +118,12 @@ def _non_extendable(
     model: EmpiricalModel, globals_: Sequence[GlobalSection]
 ) -> list[tuple[Context, Section]]:
     """Supported sections no global section in ``globals_`` restricts to."""
-    images = {
-        ctx: {sc.restrict(g, ctx) for g in globals_}
-        for ctx in model.scenario.maximal_contexts
-    }
     out = []
     for ctx in model.scenario.maximal_contexts:
+        project = sc.projection(model.scenario.measurements, ctx)
+        image = {project(g.values) for g in globals_}
         for section in sorted(support(model, ctx), key=lambda s: s.values):
-            if section not in images[ctx]:
+            if section.values not in image:
                 out.append((ctx, section))
     return out
 
@@ -150,11 +151,12 @@ def noncontextual_fraction_certified(model: EmpiricalModel) -> ratlp.LpSolution:
     for ctx in model.scenario.maximal_contexts:
         row_of = {}
         for section in sc.sections(model.scenario, ctx):
-            row_of[section] = len(rows)
+            row_of[section.values] = len(rows)
             rows.append([0] * len(lam))
             bounds.append(model.tables[ctx][section])
+        project = sc.projection(model.scenario.measurements, ctx)
         for j, g in enumerate(lam):
-            rows[row_of[sc.restrict(g, ctx)]][j] = 1
+            rows[row_of[project(g.values)]][j] = 1
     lp = ratlp.LinearProgram.build([1] * len(lam), rows, bounds)
     return ratlp.solve(lp)
 
@@ -174,13 +176,13 @@ def noncontextual_decomposition(
         solution = noncontextual_fraction_certified(model)
     ncf = solution.value
     lam = sc.global_section_space(model.scenario)
-    weights = dict(zip(lam, solution.point))
+    weights = [(g.values, w) for g, w in zip(lam, solution.point) if w]
 
     def pushforward(ctx: Context) -> dict[Section, Fraction]:
         out = {sec: Fraction(0) for sec in sc.sections(model.scenario, ctx)}
-        for g, w in weights.items():
-            if w:
-                out[sc.restrict(g, ctx)] += w
+        project = sc.projection(model.scenario.measurements, ctx)
+        for values, w in weights:
+            out[Section(ctx, project(values))] += w
         return out
 
     nc_part = None

@@ -116,6 +116,11 @@ def new_model(
                 sec = Section(ctx, tuple(key[m] for m in ctx))
             else:
                 parts = key.split(",") if isinstance(key, str) else tuple(key)
+                if len(parts) != len(ctx):
+                    raise UnknownSection(
+                        f"cell {key!r} has {len(parts)} outcomes, "
+                        f"context {ctx} has {len(ctx)} measurements"
+                    )
                 sec = Section(ctx, tuple(str(p) for p in parts))
             if sec not in table:
                 raise UnknownSection(f"{sec} is not a section of {ctx}")

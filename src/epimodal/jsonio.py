@@ -2,7 +2,8 @@
 
 All numeric values serialize as exact rational strings ("1/3", "0", "1");
 floats never appear in a file, and reading one rejects any cell that is not
-such a string.  Dynamic keys (contexts, cells) are emitted
+such a string, and any scenario field that is not a list of strings where
+the shape below has one.  Dynamic keys (contexts, cells) are emitted
 in canonical sorted order so that serialization is byte-stable and golden
 files can be compared verbatim.
 
@@ -66,10 +67,26 @@ def scenario_to_obj(scenario: MeasurementScenario) -> dict:
     }
 
 
+def _strings(value, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ParseError(f"{what} must be a list of strings, got {value!r}")
+    return value
+
+
 def scenario_from_obj(obj) -> MeasurementScenario:
     try:
-        return new_scenario(obj["measurements"], obj["contexts"], obj["outcomes"])
-    except (KeyError, TypeError) as exc:
+        contexts = obj["contexts"]
+        if not isinstance(contexts, list):
+            raise ParseError(f"contexts must be a list, got {contexts!r}")
+        return new_scenario(
+            _strings(obj["measurements"], "measurements"),
+            [_strings(c, "each context") for c in contexts],
+            {
+                m: _strings(values, f"outcomes of {m!r}")
+                for m, values in obj["outcomes"].items()
+            },
+        )
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ParseError(f"bad scenario object: {exc!r}") from exc
 
 

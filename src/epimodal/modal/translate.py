@@ -97,16 +97,23 @@ def soundness_violations(
     }
     violations = []
     if worlds is WorldBasis.MUTUAL:
-        consistent = [
-            g
-            for g in scenario.mutual_worlds
-            if all(sc.restrict(g, ctx) in supports[ctx] for ctx in supports)
+        supported = [
+            (
+                ctx,
+                sc.projection(model.scenario.measurements, ctx),
+                {sec.values for sec in supports[ctx]},
+            )
+            for ctx in model.scenario.maximal_contexts
         ]
-        for ctx in model.scenario.maximal_contexts:
+        consistent = [
+            g.values
+            for g in scenario.mutual_worlds
+            if all(project(g.values) in values for _, project, values in supported)
+        ]
+        for ctx, project, _ in supported:
+            image = set(map(project, consistent))
             for section in sorted(supports[ctx], key=lambda s: s.values):
-                if not any(
-                    sc.restrict(g, ctx) == section for g in consistent
-                ):
+                if section.values not in image:
                     violations.append((ctx, section))
     else:
         available = set(scenario.distributed_worlds)

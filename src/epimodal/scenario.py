@@ -6,6 +6,12 @@ set per measurement.  Sections assign an outcome to every measurement of a
 context; restriction and gluing give the sheaf structure used everywhere
 else in the package.
 
+Loops over all global assignments (2^n of them for n binary measurements)
+do not restrict ``Section`` objects one by one: :func:`projection` finds the
+positions of a subcontext inside a context once and returns a function from
+a values tuple to the sub-tuple, which those loops compare against sets of
+plain value tuples.  :func:`restrict` stays the ``Section``-level operation.
+
 All identifiers are opaque strings.  Contexts are canonicalized to tuples
 sorted by the declared measurement order, so that every listing produced
 here is byte-stable.
@@ -14,7 +20,8 @@ here is byte-stable.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Mapping, Sequence
+import operator
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import (
@@ -216,6 +223,28 @@ def restrict(section: Section, subcontext: Iterable[str]) -> Section:
         raise NotASubcontext(f"{sorted(sub)} is not inside {section.context}")
     ctx = tuple(m for m in section.context if m in sub)
     return Section(ctx, tuple(section[m] for m in ctx))
+
+
+def projection(
+    context: Context, subcontext: Iterable[str]
+) -> Callable[[tuple[str, ...]], tuple[str, ...]]:
+    """Map a values tuple over ``context`` to its values over ``subcontext``.
+
+    The positions are computed once; the returned function builds one tuple
+    per call, in the order of ``context`` like :func:`restrict`, so
+    ``projection(s.context, sub)(s.values) == restrict(s, sub).values``.
+    """
+    sub = set(subcontext)
+    if not sub <= set(context):
+        raise NotASubcontext(f"{sorted(sub)} is not inside {context}")
+    positions = [i for i, m in enumerate(context) if m in sub]
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda values: (values[i],)
+    if not positions:
+        return lambda values: ()
+    # itemgetter of two or more positions returns a tuple
+    return operator.itemgetter(*positions)
 
 
 def is_compatible_family(family: Sequence[Section]) -> bool:

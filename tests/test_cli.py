@@ -146,6 +146,30 @@ def test_analyze_non_rational_cell_exit_2(tmp_path, capsys, cell):
     assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("key", ["0,0,0", "0"])
+def test_analyze_cell_key_of_wrong_arity_exit_2(tmp_path, capsys, key):
+    run(["builtin", "fr"], tmp_path, "model.json")
+    obj = json.loads((tmp_path / "model.json").read_text())
+    obj["tables"]["A,B"][key] = obj["tables"]["A,B"].pop("0,0")
+    (tmp_path / "bad.json").write_text(json.dumps(obj))
+    assert main(["analyze", str(tmp_path / "bad.json")]) == 2
+    assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("measurements", "ABUW"),
+    ("contexts", ["AB", "AW", "BU", "UW"]),
+    ("outcomes", {m: "01" for m in "ABUW"}),
+])
+def test_analyze_string_for_a_list_exit_2(tmp_path, capsys, field, value):
+    run(["builtin", "fr"], tmp_path, "model.json")
+    obj = json.loads((tmp_path / "model.json").read_text())
+    obj["scenario"][field] = value
+    (tmp_path / "bad.json").write_text(json.dumps(obj))
+    assert main(["analyze", str(tmp_path / "bad.json")]) == 2
+    assert_one_line_error(capsys)
+
+
 def test_analyze_runs_each_stage_once(fr_model, monkeypatch):
     calls = {"solve": 0, "global_sections": 0}
 

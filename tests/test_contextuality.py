@@ -32,7 +32,13 @@ from epimodal.errors import (
 )
 from epimodal.ratlp import LinearProgram
 from epimodal.ratlp import solve as ratlp_solve
-from epimodal.scenario import Section, global_section_space, restrict, sections
+from epimodal.scenario import (
+    Section,
+    global_section_space,
+    projection,
+    restrict,
+    sections,
+)
 from model_random import noisy_cycle_model
 
 F = Fraction
@@ -223,23 +229,29 @@ def test_ncf_lp_build_restricts_once_per_context_and_assignment(monkeypatch):
     model = noisy_cycle_model([F(1, 12), F(1, 8), F(1, 6), F(1, 4), F(1, 3), F(1, 2)])
     scen = model.scenario
     lam = global_section_space(scen)
-    calls = Counter()
+    made = Counter()
+    applied = Counter()
     lps = []
 
-    def counting_restrict(section, ctx):
-        # the no-disturbance check restricts local sections: not counted
-        if section.context == scen.measurements:
-            calls[ctx] += 1
-        return restrict(section, ctx)
+    def counting_projection(context, ctx):
+        made[ctx] += 1
+        project = projection(context, ctx)
 
-    monkeypatch.setattr(epimodal.scenario, "restrict", counting_restrict)
+        def counted(values):
+            applied[ctx] += 1
+            return project(values)
+        return counted
+
+    monkeypatch.setattr(epimodal.scenario, "projection", counting_projection)
     monkeypatch.setattr(
         epimodal.ratlp, "solve",
         lambda lp, trace=None: lps.append(lp) or ratlp_solve(lp),
     )
     noncontextual_fraction_certified(model)
-    assert calls == {ctx: len(lam) for ctx in scen.maximal_contexts}
-    assert sum(calls.values()) == 6 * 64
+    # one projection per context, applied once per global assignment
+    assert made == {ctx: 1 for ctx in scen.maximal_contexts}
+    assert applied == {ctx: len(lam) for ctx in scen.maximal_contexts}
+    assert sum(applied.values()) == 6 * 64
     # the LP of one row per (context, section) and one column per global
     # assignment, as a comprehension over every (section, assignment) pair
     rows = []

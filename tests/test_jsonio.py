@@ -66,6 +66,22 @@ def test_model_parse_errors():
         model_from_json(json.dumps(bad))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("measurements", "ABUW"),
+    ("measurements", ["A", "B", "U", 3]),
+    ("contexts", "AB"),
+    ("contexts", [["A", "B"], "AW", ["B", "U"], ["U", "W"]]),
+    ("outcomes", {m: "01" for m in "ABUW"}),
+    ("outcomes", {m: ["0", 1] for m in "ABUW"}),
+    ("outcomes", ["A", "B", "U", "W"]),
+])
+def test_scenario_lists_must_be_lists_of_strings(fr_model, field, value):
+    obj = scenario_to_obj(fr_model.scenario)
+    obj[field] = value
+    with pytest.raises(ParseError):
+        scenario_from_obj(obj)
+
+
 def test_topomodel_round_trip():
     m = TopoModel.make(
         ["u", "v"],

@@ -1,11 +1,14 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+import epimodal.contextuality
 from epimodal import (
     Semiring,
     build_wigner_model,
     classify,
+    is_connected,
     new_model,
     new_scenario,
     possibilistic_collapse,
@@ -14,8 +17,33 @@ from epimodal import (
 from epimodal.errors import Disconnected, DisturbingModel, Mismatch
 from epimodal.modal import WorldBasis, soundness_violations, translate
 from epimodal.scenario import Section
+from model_random import random_boolean_models
 
 F = Fraction
+
+
+def mutual_violations_brute_force(model):
+    """Oracle: every outcome assignment, kept when each of its context
+    values is supported; supported sections outside all kept images are
+    the violations, in (context, section values) order."""
+    scen = model.scenario
+    supports = {ctx: support(model, ctx) for ctx in scen.maximal_contexts}
+    images = {ctx: set() for ctx in supports}
+    pools = [scen.outcomes[m] for m in scen.measurements]
+    for values in itertools.product(*pools):
+        world = dict(zip(scen.measurements, values))
+        local = {
+            ctx: Section(ctx, tuple(world[m] for m in ctx)) for ctx in supports
+        }
+        if all(local[ctx] in supports[ctx] for ctx in supports):
+            for ctx, sec in local.items():
+                images[ctx].add(sec)
+    return [
+        (ctx, sec)
+        for ctx in scen.maximal_contexts
+        for sec in sorted(supports[ctx], key=lambda s: s.values)
+        if sec not in images[ctx]
+    ]
 
 
 def test_translate_fr(fr_model):
@@ -102,6 +130,28 @@ def test_soundness_violations_match_classifier(fr_model, pr_model):
             map(tuple, soundness_violations(t, model, WorldBasis.MUTUAL))
         )
         assert mutual == set(classify(model).non_extendable)
+
+
+def test_mutual_soundness_is_independent_of_the_classifier(
+    fr_model, pr_model, monkeypatch
+):
+    # criterion 9 compares soundness_violations with classify: the mutual
+    # route must not reach the classifier's enumeration or image sets
+    def unreachable(*args, **kwargs):
+        raise AssertionError("soundness_violations reached the classifier")
+
+    models = [
+        m for m in random_boolean_models(7, 120)
+        if is_connected(m.scenario) and len(m.scenario.measurements) <= 8
+    ] + [fr_model, pr_model]
+    monkeypatch.setattr(epimodal.contextuality, "global_sections", unreachable)
+    monkeypatch.setattr(epimodal.contextuality, "_non_extendable", unreachable)
+    violating = 0
+    for model in models:
+        mutual = soundness_violations(translate(model), model, WorldBasis.MUTUAL)
+        assert mutual == mutual_violations_brute_force(model)
+        violating += bool(mutual)
+    assert 0 < violating < len(models)
 
 
 def test_soundness_mismatch(fr_model, pr_model):

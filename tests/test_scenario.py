@@ -23,7 +23,7 @@ from epimodal.errors import (
     UnknownContext,
     UnknownMeasurement,
 )
-from epimodal.scenario import Section, global_section_space
+from epimodal.scenario import Section, global_section_space, projection
 
 
 def four_cycle():
@@ -134,6 +134,48 @@ def test_restrict():
     assert restrict(sec, sec.context) == sec
     with pytest.raises(NotASubcontext):
         restrict(sec, {"W"})
+
+
+@st.composite
+def scenarios(draw):
+    """Scenarios of 1-5 measurements with 1-3 outcomes each; uncovered
+    measurements become one-measurement contexts."""
+    meas = [f"M{i}" for i in range(draw(st.integers(1, 5)))]
+    drawn = draw(st.lists(st.sets(st.sampled_from(meas), min_size=1), max_size=4))
+    contexts = [c for c in drawn if not any(c < d for d in drawn)]
+    covered = set().union(*contexts)
+    contexts += [{m} for m in meas if m not in covered]
+    outcomes = {
+        m: [str(o) for o in range(draw(st.integers(1, 3)))] for m in meas
+    }
+    return new_scenario(meas, contexts, outcomes)
+
+
+@st.composite
+def sections_and_subcontexts(draw):
+    s = draw(scenarios())
+    context = draw(st.sampled_from([s.measurements, *s.maximal_contexts]))
+    values = tuple(draw(st.sampled_from(s.outcomes[m])) for m in context)
+    sub = draw(st.sets(st.sampled_from(context)))
+    return Section(context, values), sub
+
+
+@given(sections_and_subcontexts())
+def test_projection_matches_restrict(case):
+    section, sub = case
+    project = projection(section.context, sub)
+    assert project(section.values) == restrict(section, sub).values
+    assert project(section.context) == restrict(section, sub).context
+
+
+def test_projection_one_measurement_and_errors():
+    s = four_cycle()
+    g = Section(s.measurements, ("0", "1", "0", "1"))
+    assert projection(s.measurements, {"B"})(g.values) == ("1",)
+    assert projection(("A",), {"A"})(("0",)) == ("0",)
+    assert projection(s.measurements, ())(g.values) == ()
+    with pytest.raises(NotASubcontext):
+        projection(("A", "B"), {"W"})
 
 
 @given(st.tuples(*[st.sampled_from(["0", "1"]) for _ in range(4)]))
