@@ -10,18 +10,15 @@ the forced-inference chain around the cycle when one exists.
 from fractions import Fraction
 
 from epimodal import (
-    Semiring,
     build_fr_model,
     build_pr_model,
     build_wigner_model,
     check_no_disturbance,
     classify,
-    is_connected,
-    liar_cycle_witness,
     noncontextual_decomposition,
     support,
 )
-from epimodal.cli import cycle_order
+from epimodal.cli import _liar_obj
 from epimodal.errors import Disconnected
 from epimodal.modal import WorldBasis, soundness_violations, translate
 
@@ -81,26 +78,17 @@ def show(model, name):
         )
     except Disconnected:
         print("  translation skipped: disconnected scenario")
-    base = cycle_order(model)
-    if base is not None:
-        found = None
-        for cycle in (base, list(reversed(base))):
-            for shift in range(len(cycle)):
-                found = liar_cycle_witness(model, cycle[shift:] + cycle[:shift])
-                if found:
-                    break
-            if found:
-                break
-        if found:
+    liar = _liar_obj(model)
+    if liar is not None:
+        if liar["found"]:
             steps = ", then ".join(
-                f"{agent}={outcome}" for agent, outcome in
-                (step.forced for step in found.steps)
+                f"{agent}={outcome}"
+                for agent, outcome in (step["forced"] for step in liar["steps"])
             )
             print(
-                f"  forced chain: start {found.start[0]}={found.start[1]} "
-                f"forces {steps}; the cells "
-                f"{[w.key() for w in found.witnesses]} of "
-                f"{','.join(found.closing_context)} contradict it"
+                f"  forced chain: start {liar['start'][0]}={liar['start'][1]} "
+                f"forces {steps}; the cells {liar['witnesses']} of "
+                f"{liar['closing_context']} contradict it"
             )
         else:
             print("  forced chain: none (no unique-partner propagation)")

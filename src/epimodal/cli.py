@@ -17,7 +17,6 @@ there is no randomness anywhere in the pipeline.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -30,7 +29,7 @@ from .contextuality import (
     noncontextual_decomposition,
 )
 from .dot import bundle_dot
-from .empirical import EmpiricalModel, check_no_disturbance
+from .empirical import EmpiricalModel, check_no_disturbance, possibilistic_collapse
 from .errors import DisturbingModel, EpimodalError
 from .modal import (
     TrustFlavor,
@@ -97,6 +96,9 @@ def cycle_order(model: EmpiricalModel) -> list[str] | None:
 
 
 def _liar_obj(model: EmpiricalModel) -> dict | None:
+    """The first forced contradiction over every rotation of the cycle in
+    both directions, as a JSON object; None when the scenario is no cycle.
+    """
     base = cycle_order(model)
     if base is None:
         return None
@@ -104,8 +106,11 @@ def _liar_obj(model: EmpiricalModel) -> dict | None:
     for cycle in (base, list(reversed(base))):
         for shift in range(len(cycle)):
             orders.append(cycle[shift:] + cycle[:shift])
+    # liar_cycle_witness collapses its model, and a Boolean model is its own
+    # collapse: collapsing here makes that one collapse for all the orders
+    shadow = possibilistic_collapse(model)
     for order in orders:
-        chain = liar_cycle_witness(model, order)
+        chain = liar_cycle_witness(shadow, order)
         if chain is not None:
             return {
                 "found": True,

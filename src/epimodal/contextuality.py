@@ -30,7 +30,7 @@ from .empirical import (
     support,
 )
 from .errors import NotACycle, SectionNotInSupport, WrongSemiring
-from .scenario import Context, GlobalSection, MeasurementScenario, Section
+from .scenario import Context, GlobalSection, Section
 
 
 class HierarchyLevel(enum.IntEnum):
@@ -60,10 +60,6 @@ class ContextualityReport:
         return None if self.solution is None else self.solution.value
 
 
-def _supports(model: EmpiricalModel) -> dict[Context, set[Section]]:
-    return {ctx: support(model, ctx) for ctx in model.scenario.maximal_contexts}
-
-
 def global_sections(model: EmpiricalModel) -> list[GlobalSection]:
     """Global sections restricting into every context's support.
 
@@ -77,11 +73,11 @@ def global_sections(model: EmpiricalModel) -> list[GlobalSection]:
     # the prefix is projected onto the context and looked up among the
     # values of its supported sections
     ready: dict[int, list] = {i: [] for i in range(len(meas))}
-    for ctx, supported in _supports(model).items():
+    for ctx in scen.maximal_contexts:
         last = max(meas.index(m) for m in ctx)
         ready[last].append((
             sc.projection(meas[: last + 1], ctx),
-            {sec.values for sec in supported},
+            {sec.values for sec in support(model, ctx)},
         ))
 
     def consistent(prefix: tuple[str, ...], upto: int) -> bool:
@@ -289,7 +285,6 @@ def liar_cycle_witness(
     agents = tuple(agent_order)
     scen = model.scenario
     shadow = possibilistic_collapse(model)
-    supports = _supports(shadow)
 
     starts = (
         scen.outcomes[agents[0]] if start_outcome is None else (start_outcome,)
@@ -326,7 +321,7 @@ def liar_cycle_witness(
         last = agents[-1]
         witnesses = tuple(
             sec
-            for sec in sorted(supports[closing], key=lambda s: s.values)
+            for sec in sorted(support(shadow, closing), key=lambda s: s.values)
             if sec[agents[0]] == start and sec[last] != current
         )
         if witnesses:

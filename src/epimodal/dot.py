@@ -10,14 +10,21 @@ logically contextual model those are its non-extendable sections.  For a
 strongly contextual model every supported section is non-extendable, which
 would paint the whole diagram; to keep the picture readable only the last
 context (canonical order) is highlighted and a comment in the header
-records that every context violates.  Rendering is left to external
+records that every context violates.  The bundle is possibilistic: it
+classifies the Boolean shadow of the model, so a rational model never
+reaches the noncontextual-fraction LP here.  Rendering is left to external
 tooling (``dot -Tpng ...``).
 """
 
 from __future__ import annotations
 
 from .contextuality import HierarchyLevel, classify
-from .empirical import EmpiricalModel, support
+from .empirical import (
+    EmpiricalModel,
+    possibilistic_collapse,
+    require_no_disturbance,
+    support,
+)
 
 
 def _node(measurement: str, outcome: str) -> str:
@@ -26,7 +33,8 @@ def _node(measurement: str, outcome: str) -> str:
 
 def bundle_dot(model: EmpiricalModel) -> str:
     """Render the possibilistic bundle of a non-disturbing model."""
-    report = classify(model)
+    require_no_disturbance(model)
+    report = classify(possibilistic_collapse(model))
     scen = model.scenario
     pair_contexts = [c for c in scen.maximal_contexts if len(c) == 2]
 

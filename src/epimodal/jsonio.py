@@ -2,9 +2,10 @@
 
 All numeric values serialize as exact rational strings ("1/3", "0", "1");
 floats never appear in a file, and reading one rejects any cell that is not
-such a string, and any scenario field that is not a list of strings where
-the shape below has one.  Dynamic keys (contexts, cells) are emitted
-in canonical sorted order so that serialization is byte-stable and golden
+such a string, and any scenario or topomodel field that is not a list of
+strings where the shape below has one (a relation is a list of such lists,
+each of two worlds).  Dynamic keys (contexts, cells) are emitted in
+canonical sorted order so that serialization is byte-stable and golden
 files can be compared verbatim.
 
 Field names are part of the on-disk contract:
@@ -28,7 +29,7 @@ from .contextuality import ContextualityReport
 from .empirical import EmpiricalModel, NoDisturbanceReport, Semiring, new_model
 from .errors import EpimodalError
 from .modal import MultiAgentScenario, TopoModel
-from .scenario import MeasurementScenario, Section, new_scenario
+from .scenario import MeasurementScenario, new_scenario
 
 
 class ParseError(EpimodalError):
@@ -155,10 +156,16 @@ def topomodel_to_obj(model: TopoModel) -> dict:
 def topomodel_from_obj(obj, require_s4: bool = True) -> TopoModel:
     try:
         return TopoModel.make(
-            obj["worlds"],
-            obj["agents"],
-            {a: [tuple(p) for p in pairs] for a, pairs in obj["relations"].items()},
-            obj.get("valuation", {}),
+            _strings(obj["worlds"], "worlds"),
+            _strings(obj["agents"], "agents"),
+            {
+                a: [tuple(_strings(p, f"each pair of {a!r}")) for p in pairs]
+                for a, pairs in obj["relations"].items()
+            },
+            {
+                p: _strings(where, f"valuation of {p!r}")
+                for p, where in obj.get("valuation", {}).items()
+            },
             require_s4=require_s4,
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -125,7 +125,7 @@ def eval_formula(model: TopoModel, formula: Formula) -> Worlds:
             try:
                 return model.valuation[node.name]
             except KeyError:
-                raise UnknownVariable(node.name) from None
+                raise UnknownVariable(f"unknown proposition {node.name!r}") from None
         if isinstance(node, Not):
             return universe - go(node.operand)
         if isinstance(node, And):
@@ -240,7 +240,7 @@ def eval_topological(model: TopoModel, formula: Formula) -> Worlds:
             try:
                 return model.valuation[node.name]
             except KeyError:
-                raise UnknownVariable(node.name) from None
+                raise UnknownVariable(f"unknown proposition {node.name!r}") from None
         if isinstance(node, Not):
             return universe - go(node.operand)
         if isinstance(node, And):

@@ -4,7 +4,10 @@ The dictionary: measurements become agents (each agent owns exactly one
 measurement); maximal contexts become sets of agents whose subsets all
 trust one another; global sections become the worlds induced by mutual
 knowledge; supported (context, section) pairs become the worlds induced by
-distributed knowledge.
+distributed knowledge.  The mutual worlds are every global outcome
+assignment, so they follow from the agents and their outcomes alone: a
+translated scenario stores the outcomes and derives its mutual worlds on
+demand, and translating enumerates no global assignment.
 
 With mutual-knowledge worlds, a supported local event can fail to be
 entailed by any world consistent with the model: those events are exactly
@@ -28,12 +31,25 @@ from ..scenario import Context, GlobalSection, Section
 
 @dataclass(frozen=True)
 class MultiAgentScenario:
-    """Agents, trust pairs and the two world bases of a translated model."""
+    """Agents, trust pairs and the two world bases of a translated model.
+
+    ``outcomes`` holds one outcome tuple per agent, in agent order; the
+    mutual worlds are derived from it, so equal fields mean equal world
+    bases.
+    """
 
     agents: tuple[str, ...]
     trust_pairs: frozenset[tuple[frozenset[str], frozenset[str]]]
-    mutual_worlds: tuple[GlobalSection, ...]
+    outcomes: tuple[tuple[str, ...], ...]
     distributed_worlds: tuple[tuple[Context, Section], ...]
+
+    @property
+    def mutual_worlds(self) -> tuple[GlobalSection, ...]:
+        """Every global outcome assignment, lexicographically."""
+        return tuple(
+            Section(self.agents, values)
+            for values in itertools.product(*self.outcomes)
+        )
 
 
 class WorldBasis(enum.Enum):
@@ -46,8 +62,9 @@ def translate(model: EmpiricalModel) -> MultiAgentScenario:
 
     Trust pairs are all ordered pairs of nonempty subsets living inside a
     common maximal context (trust within a context is an equivalence).
-    Mutual worlds are all global outcome assignments; distributed worlds
-    are the supported sections, indexed by their maximal context.
+    Mutual worlds are all global outcome assignments (derived from the
+    stored outcomes, not enumerated here); distributed worlds are the
+    supported sections, indexed by their maximal context.
     """
     require_no_disturbance(model)
     scen = model.scenario
@@ -64,7 +81,6 @@ def translate(model: EmpiricalModel) -> MultiAgentScenario:
             for c in itertools.combinations(ctx, r)
         ]
         trust.update(itertools.product(subsets, repeat=2))
-    mutual = tuple(sc.global_section_space(scen))
     distributed = tuple(
         (ctx, section)
         for ctx in scen.maximal_contexts
@@ -73,7 +89,7 @@ def translate(model: EmpiricalModel) -> MultiAgentScenario:
     return MultiAgentScenario(
         agents=scen.measurements,
         trust_pairs=frozenset(trust),
-        mutual_worlds=mutual,
+        outcomes=tuple(scen.outcomes[m] for m in scen.measurements),
         distributed_worlds=distributed,
     )
 
@@ -106,9 +122,9 @@ def soundness_violations(
             for ctx in model.scenario.maximal_contexts
         ]
         consistent = [
-            g.values
-            for g in scenario.mutual_worlds
-            if all(project(g.values) in values for _, project, values in supported)
+            world
+            for world in itertools.product(*scenario.outcomes)
+            if all(project(world) in values for _, project, values in supported)
         ]
         for ctx, project, _ in supported:
             image = set(map(project, consistent))

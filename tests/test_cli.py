@@ -1,11 +1,17 @@
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
+import epimodal.cli
 import epimodal.contextuality
 import epimodal.ratlp
+import epimodal.scenario
+from epimodal import Semiring, possibilistic_collapse
 from epimodal.cli import analysis_report, cycle_order, main
+from epimodal.dot import bundle_dot
+from model_random import noisy_cycle_model
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -85,6 +91,17 @@ def test_bundle_deterministic_model_no_red(tmp_path):
     assert b"color=red" not in dot
 
 
+def test_bundle_never_solves_the_lp(fr_model, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("bundle_dot solved an LP")
+
+    monkeypatch.setattr(epimodal.ratlp, "solve", unreachable)
+    assert bundle_dot(fr_model) == (GOLDEN / "fr_bundle.dot").read_text()
+    # probabilistically contextual, but its full support paints nothing red
+    noisy = noisy_cycle_model([Fraction(1, 3)] * 5)
+    assert "color=red" not in bundle_dot(noisy)
+
+
 def test_translate_command(tmp_path):
     run(["builtin", "fr"], tmp_path, "model.json")
     code, body = run(
@@ -97,15 +114,27 @@ def test_translate_command(tmp_path):
     assert len(obj["distributed_worlds"]) == 13
 
 
-def test_analyze_disturbing_model_exit_3(tmp_path):
+def write_disturbing_model(tmp_path):
+    """FR with the W marginal of context U,W changed; returns the path."""
     run(["builtin", "fr"], tmp_path, "model.json")
     obj = json.loads((tmp_path / "model.json").read_text())
     obj["tables"]["U,W"]["0,0"] = "1/2"
     obj["tables"]["U,W"]["0,1"] = "1/3"
     (tmp_path / "bad.json").write_text(json.dumps(obj))
-    code, body = run(["analyze", str(tmp_path / "bad.json")], tmp_path, "r.json")
+    return str(tmp_path / "bad.json")
+
+
+def test_analyze_disturbing_model_exit_3(tmp_path):
+    code, body = run(
+        ["analyze", write_disturbing_model(tmp_path)], tmp_path, "r.json"
+    )
     assert code == 3
     assert json.loads(body)["error"] == "disturbing model"
+
+
+def test_bundle_disturbing_model_exit_3(tmp_path, capsys):
+    assert main(["bundle", write_disturbing_model(tmp_path)]) == 3
+    assert_one_line_error(capsys)
 
 
 def test_analyze_missing_file_exit_2(tmp_path, capsys):
@@ -171,13 +200,23 @@ def test_analyze_string_for_a_list_exit_2(tmp_path, capsys, field, value):
 
 
 def test_analyze_runs_each_stage_once(fr_model, monkeypatch):
-    calls = {"solve": 0, "global_sections": 0}
+    calls = {
+        "solve": 0,
+        "global_sections": 0,
+        "global_section_space": 0,
+        "collapse_rational": 0,
+    }
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
+
+    def collapse(model):
+        # collapsing a Boolean model returns it as is: count real collapses
+        calls["collapse_rational"] += model.semiring is Semiring.RATIONAL
+        return possibilistic_collapse(model)
 
     monkeypatch.setattr(
         epimodal.ratlp, "solve", counting("solve", epimodal.ratlp.solve)
@@ -186,8 +225,23 @@ def test_analyze_runs_each_stage_once(fr_model, monkeypatch):
         epimodal.contextuality, "global_sections",
         counting("global_sections", epimodal.contextuality.global_sections),
     )
+    monkeypatch.setattr(
+        epimodal.scenario, "global_section_space",
+        counting(
+            "global_section_space", epimodal.scenario.global_section_space
+        ),
+    )
+    monkeypatch.setattr(epimodal.contextuality, "possibilistic_collapse", collapse)
+    monkeypatch.setattr(epimodal.cli, "possibilistic_collapse", collapse)
     analysis_report(fr_model)
-    assert calls == {"solve": 1, "global_sections": 1}
+    # the space is built by the LP and the decomposition, not by translate;
+    # the model is collapsed by classify and once for the whole liar search
+    assert calls == {
+        "solve": 1,
+        "global_sections": 1,
+        "global_section_space": 2,
+        "collapse_rational": 2,
+    }
 
 
 def test_analyze_pretty(tmp_path, capsys):
@@ -280,6 +334,31 @@ def test_modal_unknown_agent_message(tmp_path, capsys):
     assert main(["modal", "trust", str(topo),
                  "--truster", "zz", "--trusted", "a"]) == 2
     assert_one_line_error(capsys, "unknown agent 'zz'")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("worlds", "uv"), ("agents", "a"), ("valuation", {"p": "u"}),
+])
+def test_modal_string_for_a_list_exit_2(tmp_path, capsys, field, value):
+    frame = {
+        "worlds": ["u", "v"], "agents": ["a"],
+        "relations": {"a": [["u", "u"], ["v", "v"]]}, "valuation": {"p": ["u"]},
+    }
+    frame[field] = value
+    topo = tmp_path / "topo.json"
+    topo.write_text(json.dumps(frame))
+    assert main(["modal", "eval", str(topo), "-f", "K{a} p"]) == 2
+    assert_one_line_error(capsys)
+
+
+def test_modal_unknown_proposition_message(tmp_path, capsys):
+    topo = tmp_path / "topo.json"
+    topo.write_text(json.dumps({
+        "worlds": ["u"], "agents": ["a"],
+        "relations": {"a": [["u", "u"]]}, "valuation": {"p": ["u"]},
+    }))
+    assert main(["modal", "eval", str(topo), "-f", "q"]) == 2
+    assert_one_line_error(capsys, "unknown proposition 'q'")
 
 
 def test_cycle_order(fr_model):

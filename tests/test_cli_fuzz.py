@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from epimodal import build_fr_model, build_pr_model, jsonio
 from epimodal.cli import main
+from json_mutations import drop_or_swap, object_of, strings
 from model_random import random_boolean_models
 
 EXIT_CODES = {0, 2, 3, 10, 11, 12}
@@ -37,12 +38,6 @@ def well_typed(obj) -> bool:
     """The JSON types of the model contract in ``jsonio``, checked here
     without the library: string lists, objects of string lists, string
     cells."""
-    def strings(value):
-        return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-    def object_of(value, check):
-        return isinstance(value, dict) and all(map(check, value.values()))
-
     if not isinstance(obj, dict):
         return False
     scen = obj.get("scenario")
@@ -60,29 +55,6 @@ def well_typed(obj) -> bool:
     )
 
 
-def paths(value, prefix=()):
-    yield prefix
-    if isinstance(value, dict):
-        items = value.items()
-    elif isinstance(value, list):
-        items = enumerate(value)
-    else:
-        return
-    for key, child in items:
-        yield from paths(child, prefix + (key,))
-
-
-def swapped(value, pick):
-    """The value as another JSON type."""
-    if isinstance(value, list):
-        return pick(["".join(map(str, value)), len(value), {}])
-    if isinstance(value, str):
-        return pick([[value], len(value), None])
-    if isinstance(value, dict):
-        return pick([list(value), ",".join(value)])
-    return pick([str(value), [value]])
-
-
 @st.composite
 def mutated_models(draw):
     obj = copy.deepcopy(draw(st.sampled_from(BASES)))
@@ -90,14 +62,7 @@ def mutated_models(draw):
     for _ in range(draw(st.integers(1, 3))):
         kind = pick(["drop", "swap", "arity", "cell"])
         if kind in ("drop", "swap"):
-            path = pick([p for p in paths(obj) if p])
-            parent = obj
-            for key in path[:-1]:
-                parent = parent[key]
-            if kind == "drop":
-                del parent[path[-1]]
-            else:
-                parent[path[-1]] = swapped(parent[path[-1]], pick)
+            drop_or_swap(obj, kind, pick)
             continue
         tables = obj.get("tables")
         cell_tables = (

@@ -110,3 +110,25 @@ def test_topomodel_rejects_non_s4_by_default():
         topomodel_from_json(text)
     lenient = topomodel_from_json(text, require_s4=False)
     assert lenient.relations["a"] == frozenset({("u", "v")})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("worlds", "uv"),
+    ("worlds", ["u", 1]),
+    ("agents", "a"),
+    ("relations", {"a": [["u", "u"], "vv"]}),
+    ("relations", {"a": [["u", "u"], ["v", 1]]}),
+    ("valuation", {"p": "u"}),
+    ("valuation", {"p": ["u", None]}),
+])
+def test_topomodel_lists_must_be_lists_of_strings(field, value):
+    obj = {
+        "worlds": ["u", "v"],
+        "agents": ["a"],
+        "relations": {"a": [["u", "u"], ["v", "v"]]},
+        "valuation": {"p": ["u"]},
+    }
+    topomodel_from_json(json.dumps(obj))  # the unmutated frame is valid
+    obj[field] = value
+    with pytest.raises(ParseError):
+        topomodel_from_json(json.dumps(obj))

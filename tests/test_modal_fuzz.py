@@ -1,0 +1,104 @@
+"""Bounded fuzzing of ``epimodal modal`` with mutated Kripke frames.
+
+Each example takes a valid S4 frame of at most three worlds and two agents
+(one-letter names, so a list swapped for its joined string still reads as
+names), applies one to three mutations (drop a key or a list item, swap a
+list, string, number or object for another type) and runs ``modal eval``,
+``trust``, ``axioms`` and ``truth`` in process with drawn arguments.  Every
+run must exit 0 or 2 without a traceback, and a frame whose JSON types
+break the documented topomodel shape must exit 2.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import random
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from epimodal import jsonio
+from epimodal.cli import main
+from epimodal.modal import TopoModel
+from json_mutations import drop_or_swap, object_of, strings
+from modal_random import random_preorder
+
+FORMULAS = [
+    "p", "q", "K{a} p -> p", "dia{b} !p", "E{a,b} p", "D{a,b} p",
+    "K{z} p", "K{a} (p", "",
+]
+AGENT_SETS = ["a", "b", "a,b", "z", ","]
+VARIABLES = ["p", "p,q", ""]
+
+
+def frame(rng, n_worlds, agents):
+    worlds = list("uvw"[:n_worlds])
+    return jsonio.topomodel_to_obj(TopoModel.make(
+        worlds,
+        agents,
+        {agent: random_preorder(rng, worlds) for agent in agents},
+        {"p": [w for w in worlds if rng.random() < 0.5]},
+    ))
+
+
+_rng = random.Random(3)
+BASES = [frame(_rng, n, agents) for n in (1, 2, 3) for agents in ("a", "ab")]
+
+
+def well_typed(obj) -> bool:
+    """The JSON types of the topomodel contract in ``jsonio``, checked here
+    without the library: string lists, relations as lists of string lists,
+    an optional valuation of string lists."""
+    return (
+        isinstance(obj, dict)
+        and strings(obj.get("worlds"))
+        and strings(obj.get("agents"))
+        and object_of(
+            obj.get("relations"),
+            lambda pairs: isinstance(pairs, list) and all(map(strings, pairs)),
+        )
+        and object_of(obj.get("valuation", {}), strings)
+    )
+
+
+@st.composite
+def mutated_frames(draw):
+    obj = copy.deepcopy(draw(st.sampled_from(BASES)))
+    pick = lambda options: draw(st.sampled_from(options))  # noqa: E731
+    for _ in range(draw(st.integers(1, 3))):
+        drop_or_swap(obj, pick(["drop", "swap"]), pick)
+    return obj
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    mutated_frames(),
+    st.sampled_from(FORMULAS),
+    st.sampled_from(AGENT_SETS),
+    st.sampled_from(AGENT_SETS),
+    st.sampled_from(VARIABLES),
+)
+def test_modal_survives_mutated_frames(obj, formula, truster, trusted, variables):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "frame.json")
+        Path(path).write_text(json.dumps(obj))
+        for argv in (
+            ["eval", path, "-f", formula],
+            ["trust", path, "--truster", truster, "--trusted", trusted],
+            ["axioms", path, "--vars", variables, "--limit", "20"],
+            ["truth", path],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["modal", *argv])
+            assert code in {0, 2}, (argv, code)
+            assert "Traceback" not in err.getvalue()
+            if not well_typed(obj):
+                assert code == 2, (argv, code, obj)

@@ -50,8 +50,12 @@ def test_eval_total_relation_hides_p():
 
 def test_eval_unknowns():
     m = TopoModel.make(["w"], ["a"], {"a": [("w", "w")]}, {"p": ["w"]})
-    with pytest.raises(UnknownVariable):
-        eval_formula(m, Var("q"))
+    for evaluate in (eval_formula, eval_topological):
+        for formula in (Var("q"), K("a", Var("q"))):
+            with pytest.raises(
+                UnknownVariable, match="^unknown proposition 'q'$"
+            ):
+                evaluate(m, formula)
     with pytest.raises(UnknownAgent):
         eval_formula(m, K("z", Var("p")))
 

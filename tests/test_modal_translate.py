@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import epimodal.contextuality
+import epimodal.scenario
 from epimodal import (
     Semiring,
     build_wigner_model,
@@ -158,6 +159,64 @@ def test_soundness_mismatch(fr_model, pr_model):
     t = translate(fr_model)
     with pytest.raises(Mismatch):
         soundness_violations(t, pr_model, WorldBasis.MUTUAL)
+
+
+def chain_model(a_outcomes, ab_tables):
+    """A-B-C chain with B and C binary and perfectly correlated B, C."""
+    scen = new_scenario(
+        ["A", "B", "C"], [{"A", "B"}, {"B", "C"}],
+        {"A": a_outcomes, "B": ["0", "1"], "C": ["0", "1"]},
+    )
+    return new_model(scen, Semiring.RATIONAL, {
+        ("A", "B"): ab_tables,
+        ("B", "C"): {"0,0": F(1, 2), "1,1": F(1, 2)},
+    })
+
+
+def test_soundness_mismatch_on_the_same_scenario(fr_model):
+    # same scenario, full support instead of FR's three zero cells
+    uniform = new_model(fr_model.scenario, Semiring.RATIONAL, {
+        ctx: {sec.key(): F(1, 4) for sec in table}
+        for ctx, table in fr_model.tables.items()
+    })
+    for basis in WorldBasis:
+        with pytest.raises(Mismatch):
+            soundness_violations(translate(fr_model), uniform, basis)
+
+
+def test_soundness_mismatch_on_a_relabelled_unsupported_outcome():
+    # A's outcome "2" is never supported; relabelling it keeps every
+    # support, trust pair and world count but changes the mutual worlds
+    correlated = {"0,0": F(1, 2), "1,1": F(1, 2)}
+    model = chain_model(["0", "1", "2"], correlated)
+    relabelled = chain_model(["0", "1", "3"], correlated)
+    t = translate(model)
+    assert t.distributed_worlds == translate(relabelled).distributed_worlds
+    assert len(t.mutual_worlds) == len(translate(relabelled).mutual_worlds)
+    for basis in WorldBasis:
+        with pytest.raises(Mismatch):
+            soundness_violations(t, relabelled, basis)
+
+
+def test_soundness_disturbing_model_with_a_matching_scenario():
+    model = chain_model(["0", "1"], {"0,0": F(1, 2), "1,1": F(1, 2)})
+    disturbing = chain_model(["0", "1"], {"0,0": F(1, 3), "1,1": F(2, 3)})
+    t = translate(model)
+    for basis in WorldBasis:
+        with pytest.raises(DisturbingModel):
+            soundness_violations(t, disturbing, basis)
+
+
+def test_mutual_worlds_are_derived_from_outcomes(fr_model, monkeypatch):
+    expected = tuple(epimodal.scenario.global_section_space(fr_model.scenario))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("translate enumerated the global assignments")
+
+    monkeypatch.setattr(epimodal.scenario, "global_section_space", unreachable)
+    t = translate(fr_model)
+    assert t.mutual_worlds == expected
+    assert hash(t) == hash(translate(fr_model))
 
 
 def test_distributed_worlds_follow_collapse(fr_model):
