@@ -147,7 +147,8 @@ def build_wigner_model(
     cannot share a context, so the scenario has two disconnected singleton
     contexts, A with (a^2, b^2) and W with ((a+b)^2/2, (a-b)^2/2).
     """
-    if abs(alpha * alpha + beta * beta - 1.0) > SNAP_TOLERANCE:
+    # written so that a NaN amplitude fails the check too
+    if not abs(alpha * alpha + beta * beta - 1.0) <= SNAP_TOLERANCE:
         raise NotNormalized(f"alpha^2 + beta^2 = {alpha**2 + beta**2}")
     p0 = snap(alpha * alpha)
     p1 = 1 - p0

@@ -142,18 +142,19 @@ def noncontextual_fraction_certified(model: EmpiricalModel) -> ratlp.LpSolution:
         raise WrongSemiring("noncontextual fraction needs a rational model")
     require_no_disturbance(model)
     lam = sc.global_section_space(model.scenario)
+    one = Fraction(1)  # shared by every nonzero: build keeps a Fraction as is
     rows = []
     bounds = []
     for ctx in model.scenario.maximal_contexts:
         row_of = {}
         for section in sc.sections(model.scenario, ctx):
             row_of[section.values] = len(rows)
-            rows.append([0] * len(lam))
+            rows.append({})
             bounds.append(model.tables[ctx][section])
         project = sc.projection(model.scenario.measurements, ctx)
         for j, g in enumerate(lam):
-            rows[row_of[project(g.values)]][j] = 1
-    lp = ratlp.LinearProgram.build([1] * len(lam), rows, bounds)
+            rows[row_of[project(g.values)]][j] = one
+    lp = ratlp.LinearProgram.build([one] * len(lam), rows, bounds)
     return ratlp.solve(lp)
 
 

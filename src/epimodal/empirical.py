@@ -12,6 +12,7 @@ explicitly so stored files are auditable.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -60,6 +61,12 @@ class EmpiricalModel:
     scenario: MeasurementScenario
     semiring: Semiring
     tables: Mapping[Context, Mapping[Section, Fraction]]
+
+    @functools.cached_property
+    def _no_disturbance(self) -> NoDisturbanceReport:
+        # A model is never changed after construction, so its marginals are
+        # compared once, on the first check_no_disturbance of the model.
+        return _compare_marginals(self)
 
     def value(self, context: Iterable[str], section: Section | Mapping[str, str]) -> Fraction:
         ctx = self.scenario.canonical_context(context)
@@ -182,8 +189,13 @@ def check_no_disturbance(model: EmpiricalModel) -> NoDisturbanceReport:
     """Compare marginals of every overlapping pair of maximal contexts.
 
     Returns one check per unordered pair with nonempty intersection; the
-    report is vacuously positive when no contexts overlap.
+    report is vacuously positive when no contexts overlap.  The report is
+    computed once per model object and returned again on later calls.
     """
+    return model._no_disturbance
+
+
+def _compare_marginals(model: EmpiricalModel) -> NoDisturbanceReport:
     checks = []
     for ca, cb in itertools.combinations(model.scenario.maximal_contexts, 2):
         inter = tuple(m for m in ca if m in cb)

@@ -1,29 +1,39 @@
-"""Exact rational linear programming by dense tableau simplex.
+"""Exact rational linear programming by revised simplex on sparse columns.
 
 Canonical form only: maximize c.x subject to A.x <= u, x >= 0, with u >= 0
 so the origin is always feasible and no phase-1 is needed.  The pivot rule
 is Bland's (smallest index), which cannot cycle.
 
-The tableau is kept over the integers (fraction-free pivoting, Edmonds 1967
-and Bareiss 1968, the simplex form lrs uses).  Multiplying every row and
-the objective by the lcm L of the LP's denominators gives the integer
-tableau [L.A | I | L.u]; it is the LP with each slack variable multiplied
-by L, so every ratio of one ratio test scales by the same positive factor
-and every reduced cost keeps its sign, and the duals read off the slack
-columns are unchanged.  All entries then share one denominator, the last
-pivot, and each update divides by the one before exactly.  The entering
-and leaving choices, and with them the returned vertex, dual point and
-pivot count, are those of the same simplex over ``Fraction``s, and point
-and dual point are returned as ``fractions.Fraction``.
+A is stored sparsely: each row keeps its nonzero entries only, as
+(column, coefficient) pairs.  An LP of the noncontextual fraction has one
+column per global assignment and one row per local section, and each
+column has one nonzero per maximal context, so the nonzeros are a small
+share of the matrix.
+
+The simplex is revised and fraction-free (Edmonds 1967 and Bareiss 1968,
+the integer pivoting lrs uses).  Multiplying every row and the objective
+by the lcm L of the LP's denominators gives the integer tableau
+[L.A | I | L.u]; it is the LP with each slack variable multiplied by L, so
+every ratio of one ratio test scales by the same positive factor and every
+reduced cost keeps its sign.  That tableau is never formed.  Between pivots
+the solver keeps only its slack block S = den.B^-1 (m x m), its right-hand
+side and the slack part z of its cost row, den being the last pivot (1
+before the first); all are integers.  Column j of the tableau is
+S.(L.a_j) and its reduced cost is z.(L.a_j) - den.L.c_j, each summed over
+the nonzeros of a_j, and a slack's reduced cost is its entry of z.  The
+Edmonds/Bareiss update runs on S, the right-hand side and z, and each of
+its divisions by the previous pivot is exact.  The entering column is the
+first with a negative reduced cost (structural columns before slacks), the
+leaving row has the minimum ratio with ties to the smaller basis index, so
+the pivots, and with them the returned vertex, dual point, pivot count and
+unbounded ray, are those of the same simplex on a dense ``Fraction``
+tableau.  Point and dual point are returned as ``fractions.Fraction``.
 
 Every OPTIMAL solution ships with a dual point; the solver verifies primal
-feasibility, dual feasibility and strong duality in ``Fraction`` arithmetic
-on the original LP before returning, so the pair (point, dual_point) is a
-checked optimality certificate independent of the integer tableau.
-
-The tableau is dense: an LP of the noncontextual fraction has one column
-per global assignment and one row per local section, hundreds by tens on
-the n-cycles this package is run on.
+feasibility, nonnegativity, dual feasibility over every column and strong
+duality in exact arithmetic on the original LP before returning, each sum
+over the nonzero terms only, so the pair (point, dual_point) is a checked
+optimality certificate independent of the integer pivoting.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,23 +53,47 @@ class LpStatus(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
+def _fraction(v) -> Fraction:
+    # A Fraction is kept as given: converting it again would copy it, once
+    # per nonzero of a 2^n-column LP.
+    return v if type(v) is Fraction else Fraction(v)
+
+
+def _sparse_row(row, n: int) -> tuple[tuple[int, Fraction], ...]:
+    """The nonzero (column, coefficient) pairs of a dense row of length n
+    or of a mapping column -> coefficient, by ascending column."""
+    if isinstance(row, Mapping):
+        items = sorted(row.items())
+        if items and not (0 <= items[0][0] and items[-1][0] < n):
+            raise Malformed("row has a column outside the objective")
+    else:
+        if len(row) != n:
+            raise Malformed("row length does not match objective length")
+        items = enumerate(row)
+    return tuple((j, a) for j, v in items if (a := _fraction(v)))
+
+
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize objective.x  subject to  rows.x <= bounds, x >= 0."""
+    """maximize objective.x  subject to  rows.x <= bounds, x >= 0.
+
+    ``rows[i]`` holds the nonzero entries of row i as (column, coefficient)
+    pairs by ascending column; every other coefficient is 0.
+    """
 
     objective: tuple[Fraction, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[tuple[int, Fraction], ...], ...]
     bounds: tuple[Fraction, ...]
 
     @classmethod
     def build(cls, objective, rows, bounds) -> "LinearProgram":
-        c = tuple(Fraction(v) for v in objective)
-        a = tuple(tuple(Fraction(v) for v in row) for row in rows)
-        u = tuple(Fraction(v) for v in bounds)
+        """Each row is a dense sequence of len(objective) coefficients or a
+        mapping column -> coefficient whose missing columns are 0."""
+        c = tuple(_fraction(v) for v in objective)
+        a = tuple(_sparse_row(row, len(c)) for row in rows)
+        u = tuple(_fraction(v) for v in bounds)
         if len(a) != len(u):
             raise Malformed("row/bound count mismatch")
-        if any(len(row) != len(c) for row in a):
-            raise Malformed("row length does not match objective length")
         if any(b < 0 for b in u):
             raise Malformed("negative bound: origin would be infeasible")
         return cls(c, a, u)
@@ -76,44 +110,46 @@ class LpSolution:
 
 def _verify_certificate(lp: LinearProgram, x, y, value) -> None:
     # Each sum runs over the nonzero terms only: the terms skipped are 0.
-    primal = [(j, v) for j, v in enumerate(x) if v]
-    dual = [(i, w) for i, w in enumerate(y) if w]
+    primal = {j: v for j, v in enumerate(x) if v}
     for row, bound in zip(lp.rows, lp.bounds):
-        if sum(a * v for j, v in primal if (a := row[j])) > bound:
+        if sum(a * primal[j] for j, a in row if j in primal) > bound:
             raise Malformed("internal: primal point violates a constraint")
     if any(v < 0 for v in x) or any(w < 0 for w in y):
         raise Malformed("internal: certificate has a negative component")
-    for j, c in enumerate(lp.objective):
-        if sum(w * a for i, w in dual if (a := lp.rows[i][j])) < c:
-            raise Malformed("internal: dual point is infeasible")
+    # y.A >= c column by column, over the integers: both sides times dy.da,
+    # dy and da being common denominators of y and of (A's priced rows, c)
+    dual = [(w, row) for w, row in zip(y, lp.rows) if w]
+    dy = math.lcm(*(w.denominator for w, _ in dual))
+    da = math.lcm(
+        *(c.denominator for c in lp.objective),
+        *(a.denominator for _, row in dual for _, a in row),
+    )
+    priced = [0] * len(lp.objective)
+    for w, row in dual:
+        wy = w.numerator * (dy // w.denominator)
+        for j, a in row:
+            priced[j] += wy * a.numerator * (da // a.denominator)
+    if any(
+        p < c.numerator * (da // c.denominator) * dy
+        for p, c in zip(priced, lp.objective)
+    ):
+        raise Malformed("internal: dual point is infeasible")
     dual_value = sum(w * b for w, b in zip(y, lp.bounds))
     if dual_value != value:
         raise Malformed("internal: strong duality does not hold")
 
 
-def _integer_tableau(lp: LinearProgram) -> tuple[int, list[list[int]], list[int]]:
-    """(L, rows [L.A | I | L.u], cost row [-L.c | 0 | 0]) over the integers,
-    L being the lcm of every denominator in the LP."""
-    scale = math.lcm(
-        *{v.denominator for v in itertools.chain(lp.objective, lp.bounds, *lp.rows)}
-    )
-
-    def scaled(values):
-        return [v.numerator * (scale // v.denominator) for v in values]
-
-    m = len(lp.rows)
-    rhs = scaled(lp.bounds)
-    tab = [
-        scaled(row) + [int(i == k) for k in range(m)] + [rhs[i]]
-        for i, row in enumerate(lp.rows)
-    ]
-    cost = [-v for v in scaled(lp.objective)] + [0] * (m + 1)
-    return scale, tab, cost
+def _dot(column, value: Callable[[int], int]) -> int:
+    """Sum of a_i * value(i) over the nonzeros a_i of a column given as
+    ((a, the rows i with a_i = a), ...)."""
+    total = 0
+    for a, rows in column:
+        total += a * sum(map(value, rows))
+    return total
 
 
-def _eliminate(row: list[int], prow: list[int], pivot: int, den: int, col: int):
-    """(pivot*row - row[col]*prow) / den, exactly."""
-    f = row[col]
+def _eliminate(row: list[int], prow: list[int], pivot: int, den: int, f: int):
+    """(pivot*row - f*prow) / den, exactly."""
     if f == 0:
         if pivot == den:
             return row
@@ -138,29 +174,62 @@ def solve(
         trace = lambda i, basis: stream.write(f"pivot {i}: basis {list(basis)}\n")
     n = len(lp.objective)
     m = len(lp.rows)
-    scale, tab, cost = _integer_tableau(lp)
-    # tab / den and cost / den are the tableau and reduced costs of the LP
-    # scaled by L; den is the last pivot (1 before the first).
+    scale = math.lcm(*{
+        v.denominator
+        for v in itertools.chain(
+            lp.objective, lp.bounds, (a for row in lp.rows for _, a in row)
+        )
+    })
+
+    def scaled(v: Fraction) -> int:
+        return v.numerator * (scale // v.denominator)
+
+    # column j of L.A, its nonzero rows grouped by entry, as _dot takes it
+    groups: list[dict[int, list[int]]] = [{} for _ in range(n)]
+    for i, row in enumerate(lp.rows):
+        for j, a in row:
+            groups[j].setdefault(scaled(a), []).append(i)
+    columns = [tuple(g.items()) for g in groups]
+    cost = [scaled(v) for v in lp.objective]
+    # tab[i] = [S[i] | rhs[i]] and z: the slack and right-hand-side
+    # columns of the integer tableau and the slack part of its cost row
+    tab = [
+        [int(i == k) for k in range(m)] + [scaled(b)]
+        for i, b in enumerate(lp.bounds)
+    ]
+    z = [0] * m
     den = 1
     basis = list(range(n, n + m))
 
     pivots = 0
     while True:
-        entering = next((j for j in range(n + m) if cost[j] < 0), None)
-        if entering is None:
-            break
+        priced = z.__getitem__
+        for j, column in enumerate(columns):
+            reduced = _dot(column, priced) - den * cost[j]
+            if reduced < 0:
+                entering = j
+                break
+        else:
+            entering = next((n + i for i in range(m) if z[i] < 0), None)
+            if entering is None:
+                break
+            reduced = z[entering - n]
         if trace is not None:
             trace(pivots, tuple(basis))
+        if entering < n:
+            col = [_dot(columns[entering], t.__getitem__) for t in tab]
+        else:
+            col = [t[entering - n] for t in tab]
         leaving = None
         for i in range(m):
-            coeff = tab[i][entering]
+            coeff = col[i]
             if coeff > 0:
                 if leaving is None:
                     leaving = i
                     continue
                 # ratio rhs/coeff against the best row's, cross-multiplied
-                here = tab[i][-1] * tab[leaving][entering]
-                best = tab[leaving][-1] * coeff
+                here = tab[i][m] * col[leaving]
+                best = tab[leaving][m] * coeff
                 if here < best or (here == best and basis[i] < basis[leaving]):
                     leaving = i
         if leaving is None:
@@ -171,15 +240,16 @@ def solve(
                 ray[entering] = Fraction(1)
             for i in range(m):
                 if basis[i] < n:
-                    ray[basis[i]] = -tab[i][entering] * unit
+                    ray[basis[i]] = -col[i] * unit
             raise Unbounded(tuple(ray))
         prow = tab[leaving]
-        pivot = prow[entering]
+        pivot = col[leaving]
         # Edmonds/Bareiss step: every division by the old den is exact.
         for i in range(m):
             if i != leaving:
-                tab[i] = _eliminate(tab[i], prow, pivot, den, entering)
-        cost = _eliminate(cost, prow, pivot, den, entering)
+                tab[i] = _eliminate(tab[i], prow, pivot, den, col[i])
+        # zip in _eliminate stops at the end of z, before prow's rhs
+        z = _eliminate(z, prow, pivot, den, reduced)
         den = pivot
         basis[leaving] = entering
         pivots += 1
@@ -187,9 +257,9 @@ def solve(
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = Fraction(tab[i][-1], den)
-    y = tuple(Fraction(cost[n + i], den) for i in range(m))
-    value = sum(c * v for c, v in zip(lp.objective, x))
+            x[var] = Fraction(tab[i][m], den)
+    y = tuple(Fraction(w, den) for w in z)
+    value = sum(c * v for c, v in zip(lp.objective, x) if v)
     _verify_certificate(lp, x, y, value)
     return LpSolution(
         status=LpStatus.OPTIMAL,
@@ -198,4 +268,3 @@ def solve(
         dual_point=y,
         pivots=pivots,
     )
-

@@ -61,6 +61,24 @@ def test_builtin_wigner_parameters(tmp_path):
     assert code == 2  # not normalized
 
 
+@pytest.mark.parametrize("variant", ["wigner-compat", "wigner-incompat"])
+@pytest.mark.parametrize("amplitudes", [
+    ("nan", "1"), ("1", "nan"), ("nan", "nan"), ("inf", "1"), ("1", "-inf"),
+])
+def test_builtin_wigner_rejects_non_finite_amplitudes(
+    tmp_path, capsys, variant, amplitudes
+):
+    alpha, beta = amplitudes
+    code, body = run(
+        ["builtin", variant, f"--alpha={alpha}", f"--beta={beta}"],
+        tmp_path, "model.json",
+    )
+    assert (code, body) == (2, b"")
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha^2 + beta^2 = ")
+    assert err.count("\n") == 1
+
+
 def test_bundle_golden_and_red_edges(tmp_path):
     for name, golden, reds in (("fr", "fr_bundle.dot", 1),
                                ("pr", "pr_bundle.dot", 2)):

@@ -263,6 +263,16 @@ def test_ncf_lp_build_restricts_once_per_context_and_assignment(monkeypatch):
     assert lps == [LinearProgram.build([F(1)] * len(lam), rows, bounds)]
 
 
+@pytest.mark.parametrize("noise", [F(1, 3), F(1, 10)])
+@pytest.mark.parametrize("n", range(8, 12))
+def test_ncf_closed_form_on_noisy_cycles(n, noise):
+    # Araujo et al.: the noisy odd-parity n-cycle has NCF min(1, sum v / 2);
+    # at noise 1/3 these LPs are the highly degenerate NCF = 1 case
+    solution = noncontextual_fraction_certified(noisy_cycle_model([noise] * n))
+    assert solution.value == min(1, n * noise / 2)
+    assert len(solution.point) == 2 ** n
+
+
 def test_ncf_monotone_under_noise(fr_model):
     # mixing with the uniform product model never decreases the fraction:
     # the old weights plus epsilon of an exact global distribution stay

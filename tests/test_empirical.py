@@ -16,7 +16,10 @@ from epimodal import (
     support,
     uniform_rational_lift,
 )
+import epimodal.empirical
+from epimodal.contextuality import classify, noncontextual_fraction_certified
 from epimodal.empirical import require_no_disturbance
+from epimodal.modal import translate
 from epimodal.errors import (
     DisturbingModel,
     NegativeValue,
@@ -154,6 +157,40 @@ def test_disturbance_witness():
     assert bad == {("W",)}
     with pytest.raises(DisturbingModel):
         require_no_disturbance(m)
+
+
+def test_no_disturbance_is_checked_once_per_model(monkeypatch):
+    compared = []
+    compare = epimodal.empirical._compare_marginals
+    monkeypatch.setattr(
+        epimodal.empirical, "_compare_marginals",
+        lambda model: compared.append(model) or compare(model),
+    )
+    m = new_model(four_cycle_scenario(), Semiring.RATIONAL, table_one_rows())
+    report = check_no_disturbance(m)
+    assert report.holds
+    classify(m)
+    noncontextual_fraction_certified(m)
+    translate(m)
+    assert require_no_disturbance(m) is report
+    assert compared == [m]
+    # an equal model is another object, checked on its own
+    again = new_model(four_cycle_scenario(), Semiring.RATIONAL, table_one_rows())
+    assert check_no_disturbance(again) == report
+    assert compared == [m, again]
+
+    rows = table_one_rows()
+    rows[("U", "W")] = {
+        "0,0": F(1, 2), "0,1": F(1, 3), "1,0": F(1, 12), "1,1": F(1, 12),
+    }
+    disturbing = new_model(four_cycle_scenario(), Semiring.RATIONAL, rows)
+    for precondition in (
+        require_no_disturbance, classify, noncontextual_fraction_certified, translate
+    ):
+        with pytest.raises(DisturbingModel) as info:
+            precondition(disturbing)
+        assert info.value.report is check_no_disturbance(disturbing)
+    assert compared == [m, again, disturbing]
 
 
 def test_possibilistic_collapse(fr_by_hand):

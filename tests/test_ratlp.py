@@ -13,15 +13,24 @@ from model_random import noisy_cycle_model
 F = Fraction
 
 
+def dense_rows(lp: LinearProgram) -> list[list[Fraction]]:
+    """The rows of A with every zero written out."""
+    rows = [[F(0)] * len(lp.objective) for _ in lp.rows]
+    for dense, row in zip(rows, lp.rows):
+        for j, a in row:
+            dense[j] = a
+    return rows
+
+
 def fraction_tableau_solve(lp: LinearProgram, trace):
-    """Reference simplex on a ``Fraction`` tableau [A | I | u]: Bland's
-    entering rule, the minimum ratio leaving with ties to the smaller basis
-    index.  Returns (value, point, dual point, pivots); raises Unbounded
-    with the improving ray read off the entering column."""
+    """Reference simplex on a dense ``Fraction`` tableau [A | I | u]:
+    Bland's entering rule, the minimum ratio leaving with ties to the
+    smaller basis index.  Returns (value, point, dual point, pivots); raises
+    Unbounded with the improving ray read off the entering column."""
     n, m = len(lp.objective), len(lp.rows)
     tab = [
-        list(lp.rows[i]) + [F(int(i == k)) for k in range(m)] + [lp.bounds[i]]
-        for i in range(m)
+        row + [F(int(i == k)) for k in range(m)] + [lp.bounds[i]]
+        for i, row in enumerate(dense_rows(lp))
     ]
     cost = [-v for v in lp.objective] + [F(0)] * (m + 1)
     basis = list(range(n, n + m))
@@ -86,7 +95,8 @@ def brute_force_optimum(lp: LinearProgram):
     """Vertex enumeration oracle: try every square subsystem of tight
     constraints (rows or nonnegativity), keep feasible solutions."""
     n = len(lp.objective)
-    rows = [list(r) for r in lp.rows] + [
+    constraints = dense_rows(lp)
+    rows = constraints + [
         [F(int(j == k)) for k in range(n)] for j in range(n)
     ]
     rhs = list(lp.bounds) + [F(0)] * n
@@ -101,7 +111,7 @@ def brute_force_optimum(lp: LinearProgram):
             continue
         if any(
             sum(c * v for c, v in zip(row, x)) > bound
-            for row, bound in zip(lp.rows, lp.bounds)
+            for row, bound in zip(constraints, lp.bounds)
         ):
             continue
         value = sum(c * v for c, v in zip(lp.objective, x))
@@ -160,6 +170,8 @@ def test_malformed():
         LinearProgram.build([1], [[1]], [1, 2])
     with pytest.raises(Malformed):
         LinearProgram.build([1], [[1]], [-1])
+    with pytest.raises(Malformed):
+        LinearProgram.build([1, 1], [{0: 1, 2: 1}], [1])
 
 
 def test_degenerate_zero_bounds():
@@ -206,6 +218,7 @@ def test_matches_vertex_enumeration(n, m, data):
     rows = [[data.draw(signed_fraction) for _ in range(n)] for _ in range(m)]
     bounds = [data.draw(small_fraction) for _ in range(m)]
     lp = LinearProgram.build(c, rows, bounds)
+    assert_matches_fraction_tableau_oracle(lp)
     expected = brute_force_optimum(lp)
     try:
         sol = solve(lp)
@@ -230,6 +243,8 @@ def test_variable_order_invariance(perm, data):
         [[row[p] for p in perm] for row in rows],
         bounds,
     )
+    assert_matches_fraction_tableau_oracle(lp)
+    assert_matches_fraction_tableau_oracle(permuted)
     try:
         expected = solve(lp).value
     except Unbounded:
@@ -239,33 +254,83 @@ def test_variable_order_invariance(perm, data):
     assert solve(permuted).value == expected
 
 
-signed_entry = st.builds(
-    F, st.integers(min_value=-4, max_value=6), st.integers(min_value=1, max_value=6)
+# Half the entries drawn are 0, so that zero columns, zero rows and rows of
+# a single nonzero turn up and the sparse storage is exercised.
+signed_entry = st.one_of(
+    st.just(F(0)),
+    st.builds(
+        F, st.integers(min_value=-4, max_value=6), st.integers(min_value=1, max_value=6)
+    ),
 )
 bound_entry = st.builds(
     F, st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=6)
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=5),
-    st.integers(min_value=1, max_value=5),
-    st.data(),
-)
-def test_matches_fraction_tableau_oracle(n, m, data):
-    lp = LinearProgram.build(
-        [data.draw(signed_entry) for _ in range(n)],
-        [[data.draw(signed_entry) for _ in range(n)] for _ in range(m)],
-        [data.draw(bound_entry) for _ in range(m)],
-    )
+def assert_matches_fraction_tableau_oracle(lp: LinearProgram):
     integer, reference = run_both(lp)
     assert integer == reference
     if integer[0] == "unbounded":
         ray = integer[1]
         assert all(v >= 0 for v in ray)
-        assert all(sum(a * v for a, v in zip(row, ray)) <= 0 for row in lp.rows)
+        assert all(sum(a * ray[j] for j, a in row) <= 0 for row in lp.rows)
         assert sum(c * v for c, v in zip(lp.objective, ray)) > 0
+    return integer
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=5),
+    st.data(),
+)
+def test_matches_fraction_tableau_oracle(n, m, data):
+    assert_matches_fraction_tableau_oracle(LinearProgram.build(
+        [data.draw(signed_entry) for _ in range(n)],
+        [[data.draw(signed_entry) for _ in range(n)] for _ in range(m)],
+        [data.draw(bound_entry) for _ in range(m)],
+    ))
+
+
+# Sparse edge cases, each with its expected outcome: (value, point, dual
+# point, pivots) or ("unbounded", ray).
+SPARSE_EDGE_CASES = {
+    # column 1 has no nonzero entry and c_1 > 0: the ray is e_1
+    "empty column": (
+        LinearProgram.build([1, 2, 1], [{0: 1, 2: 1}, {2: 3}], [1, 1]),
+        ("unbounded", (F(0), F(1), F(0))),
+    ),
+    # column 2 is empty and enters after column 0 has pivoted in
+    "empty column entering second": (
+        LinearProgram.build([1, 0, F(1, 2)], [[1, 0, 0]], [F(2, 3)]),
+        ("unbounded", (F(0), F(0), F(1))),
+    ),
+    "all-zero row": (
+        LinearProgram.build([1, 1], [[0, 0], {0: 1, 1: 1}, {}], [F(1, 2), 1, 0]),
+        (F(1), (F(1), F(0)), (F(0), F(1), F(0)), 1),
+    ),
+    "no rows, nothing to gain": (
+        LinearProgram.build([0, -1, F(-1, 3)], [], []),
+        (F(0), (F(0), F(0), F(0)), (), 0),
+    ),
+    "no rows, unbounded": (
+        LinearProgram.build([-1, 0, F(1, 3)], [], []),
+        ("unbounded", (F(0), F(0), F(1))),
+    ),
+    "zero-objective columns": (
+        LinearProgram.build(
+            [0, 1, 0, 0], [{0: 1, 1: 1, 3: 2}, {1: F(1, 2), 2: -1}], [1, F(1, 4)]
+        ),
+        (F(1), (F(0), F(1), F(1, 4), F(0)), (F(1), F(0)), 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SPARSE_EDGE_CASES)
+def test_sparse_edge_cases_match_fraction_tableau_oracle(name):
+    lp, expected = SPARSE_EDGE_CASES[name]
+    outcome = assert_matches_fraction_tableau_oracle(lp)
+    assert outcome[:-1] == expected
 
 
 def test_unbounded_ray_through_an_entering_slack():
