@@ -217,10 +217,8 @@ def _cmd_builtin(args) -> int:
         model = builders.build_pr_model()
     elif args.name == "wigner-compat":
         model = builders.build_wigner_model(alpha, beta, compatible=True)
-    elif args.name == "wigner-incompat":
+    else:  # "wigner-incompat", the last of the argparse choices
         model = builders.build_wigner_model(alpha, beta, compatible=False)
-    else:  # argparse choices make this unreachable
-        raise EpimodalError(f"unknown builtin {args.name!r}")
     _emit(jsonio.model_to_json(model), args.out)
     return 0
 
@@ -310,17 +308,19 @@ def _cmd_modal(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line and exit 2, like every other error
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="epimodal",
         description="contextuality of empirical models, and its multi-agent"
         " epistemic reading",
     )
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--out", help="write output here instead of stdout")
-    shared.add_argument(
-        "--pretty", action="store_true", help="human-readable analyze output"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("builtin", help="write a built-in model", parents=[shared])
@@ -333,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full report for a model file", parents=[shared])
     p.add_argument("model")
+    p.add_argument("--pretty", action="store_true", help="human-readable output")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("bundle", help="DOT bundle diagram for a model file", parents=[shared])

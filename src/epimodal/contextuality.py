@@ -128,6 +128,12 @@ def noncontextual_fraction(model: EmpiricalModel) -> Fraction:
     return noncontextual_fraction_certified(model).value
 
 
+def _lp_rows(scen: sc.MeasurementScenario) -> list[tuple[Context, Section]]:
+    """The rows of the noncontextual-fraction LP, in order: each maximal
+    context, then each of its sections."""
+    return [(c, sec) for c in scen.maximal_contexts for sec in sc.sections(scen, c)]
+
+
 def noncontextual_fraction_certified(model: EmpiricalModel) -> ratlp.LpSolution:
     """Noncontextual fraction with its exact LP optimality certificate.
 
@@ -141,19 +147,17 @@ def noncontextual_fraction_certified(model: EmpiricalModel) -> ratlp.LpSolution:
     if model.semiring is not Semiring.RATIONAL:
         raise WrongSemiring("noncontextual fraction needs a rational model")
     require_no_disturbance(model)
-    lam = sc.global_section_space(model.scenario)
+    scen = model.scenario
+    lam = sc.global_section_space(scen)
+    order = _lp_rows(scen)
     one = Fraction(1)  # shared by every nonzero: build keeps a Fraction as is
-    rows = []
-    bounds = []
-    for ctx in model.scenario.maximal_contexts:
-        row_of = {}
-        for section in sc.sections(model.scenario, ctx):
-            row_of[section.values] = len(rows)
-            rows.append({})
-            bounds.append(model.tables[ctx][section])
-        project = sc.projection(model.scenario.measurements, ctx)
+    rows = [{} for _ in order]
+    for ctx in scen.maximal_contexts:
+        row_of = {sec.values: i for i, (c, sec) in enumerate(order) if c == ctx}
+        project = sc.projection(scen.measurements, ctx)
         for j, g in enumerate(lam):
             rows[row_of[project(g.values)]][j] = one
+    bounds = [model.tables[ctx][section] for ctx, section in order]
     lp = ratlp.LinearProgram.build([one] * len(lam), rows, bounds)
     return ratlp.solve(lp)
 
@@ -168,37 +172,24 @@ def noncontextual_decomposition(
     ncf * nc + (1 - ncf) * residual == model cell by cell.  ``solution`` is
     the model's certified noncontextual-fraction LP solution (as carried by
     ``classify``'s report); it is solved here only when not given.
+
+    Both parts are read off the solution's slack s = p - (pushed-forward
+    optimum) of each cell p: the noncontextual part is (p - s) / ncf and
+    the residual is the normalised slack s / (1 - ncf).
     """
     if solution is None:
         solution = noncontextual_fraction_certified(model)
     ncf = solution.value
-    lam = sc.global_section_space(model.scenario)
-    weights = [(g.values, w) for g, w in zip(lam, solution.point) if w]
-
-    def pushforward(ctx: Context) -> dict[Section, Fraction]:
-        out = {sec: Fraction(0) for sec in sc.sections(model.scenario, ctx)}
-        project = sc.projection(model.scenario.measurements, ctx)
-        for values, w in weights:
-            out[Section(ctx, project(values))] += w
-        return out
-
-    nc_part = None
-    if ncf > 0:
-        nc_tables = {
-            ctx: {sec: v / ncf for sec, v in pushforward(ctx).items()}
-            for ctx in model.scenario.maximal_contexts
-        }
-        nc_part = new_model(model.scenario, Semiring.RATIONAL, nc_tables)
-    residual = None
-    if ncf < 1:
-        res_tables = {
-            ctx: {
-                sec: (model.tables[ctx][sec] - v) / (1 - ncf)
-                for sec, v in pushforward(ctx).items()
-            }
-            for ctx in model.scenario.maximal_contexts
-        }
-        residual = new_model(model.scenario, Semiring.RATIONAL, res_tables)
+    scen = model.scenario
+    nc_tables = {ctx: {} for ctx in scen.maximal_contexts}
+    res_tables = {ctx: {} for ctx in scen.maximal_contexts}
+    for (ctx, section), s in zip(_lp_rows(scen), solution.slack, strict=True):
+        if ncf > 0:
+            nc_tables[ctx][section] = (model.tables[ctx][section] - s) / ncf
+        if ncf < 1:
+            res_tables[ctx][section] = s / (1 - ncf)
+    nc_part = new_model(scen, Semiring.RATIONAL, nc_tables) if ncf > 0 else None
+    residual = new_model(scen, Semiring.RATIONAL, res_tables) if ncf < 1 else None
     return ncf, nc_part, residual
 
 

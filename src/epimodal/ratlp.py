@@ -29,11 +29,15 @@ the pivots, and with them the returned vertex, dual point, pivot count and
 unbounded ray, are those of the same simplex on a dense ``Fraction``
 tableau.  Point and dual point are returned as ``fractions.Fraction``.
 
-Every OPTIMAL solution ships with a dual point; the solver verifies primal
-feasibility, nonnegativity, dual feasibility over every column and strong
-duality in exact arithmetic on the original LP before returning, each sum
-over the nonzero terms only, so the pair (point, dual_point) is a checked
-optimality certificate independent of the integer pivoting.
+Every OPTIMAL solution ships with the slack u - A.x of each row and a dual
+point.  The slack is read off the final basis like the point: a basic
+slack of the integer tableau is L times the LP's, so it is rhs/(den.L),
+and a nonbasic one is 0.  Before returning, the solver checks in exact
+arithmetic on the original LP that u - A.x equals the slack and is
+nonnegative, that point and dual point are nonnegative, dual feasibility
+over every column and strong duality, each sum over the nonzero terms
+only: (point, slack, dual_point) is a checked optimality certificate
+independent of the integer pivoting.
 """
 
 from __future__ import annotations
@@ -101,19 +105,25 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """An optimum; ``slack[i]`` is exactly bounds[i] - rows[i].point."""
+
     status: LpStatus
     value: Fraction | None
     point: tuple[Fraction, ...]
+    slack: tuple[Fraction, ...]
     dual_point: tuple[Fraction, ...]
     pivots: int
 
 
-def _verify_certificate(lp: LinearProgram, x, y, value) -> None:
+def _verify_certificate(lp: LinearProgram, x, s, y, value) -> None:
     # Each sum runs over the nonzero terms only: the terms skipped are 0.
     primal = {j: v for j, v in enumerate(x) if v}
-    for row, bound in zip(lp.rows, lp.bounds):
-        if sum(a * primal[j] for j, a in row if j in primal) > bound:
+    for row, bound, slack in zip(lp.rows, lp.bounds, s, strict=True):
+        rest = bound - sum(a * primal[j] for j, a in row if j in primal)
+        if rest < 0:
             raise Malformed("internal: primal point violates a constraint")
+        if rest != slack:
+            raise Malformed("internal: slack is not bounds - rows.point")
     if any(v < 0 for v in x) or any(w < 0 for w in y):
         raise Malformed("internal: certificate has a negative component")
     # y.A >= c column by column, over the integers: both sides times dy.da,
@@ -163,15 +173,11 @@ def solve(
 ) -> LpSolution:
     """Run primal simplex with Bland's rule on an origin-feasible LP.
 
-    ``trace`` (optional) observes (iteration, basis) before each pivot:
-    either a callable or a writable text stream getting one line per
+    ``trace`` (optional) is called with (iteration, basis) before each
     pivot.  Tests use it to assert that no basis ever repeats, which is
     the Bland termination guarantee.  Raises Unbounded with an improving
     feasible ray when the optimum is infinite.
     """
-    if trace is not None and hasattr(trace, "write"):
-        stream = trace
-        trace = lambda i, basis: stream.write(f"pivot {i}: basis {list(basis)}\n")
     n = len(lp.objective)
     m = len(lp.rows)
     scale = math.lcm(*{
@@ -254,17 +260,18 @@ def solve(
         basis[leaving] = entering
         pivots += 1
 
-    x = [Fraction(0)] * n
+    xs = [Fraction(0)] * (n + m)  # point, then slack
     for i, var in enumerate(basis):
-        if var < n:
-            x[var] = Fraction(tab[i][m], den)
+        xs[var] = Fraction(tab[i][m], den if var < n else den * scale)
+    x, s = xs[:n], xs[n:]
     y = tuple(Fraction(w, den) for w in z)
     value = sum(c * v for c, v in zip(lp.objective, x) if v)
-    _verify_certificate(lp, x, y, value)
+    _verify_certificate(lp, x, s, y, value)
     return LpSolution(
         status=LpStatus.OPTIMAL,
         value=value,
         point=tuple(x),
+        slack=tuple(s),
         dual_point=y,
         pivots=pivots,
     )

@@ -252,12 +252,13 @@ def test_analyze_runs_each_stage_once(fr_model, monkeypatch):
     monkeypatch.setattr(epimodal.contextuality, "possibilistic_collapse", collapse)
     monkeypatch.setattr(epimodal.cli, "possibilistic_collapse", collapse)
     analysis_report(fr_model)
-    # the space is built by the LP and the decomposition, not by translate;
-    # the model is collapsed by classify and once for the whole liar search
+    # the space is built by the LP alone: the decomposition reads the LP's
+    # slack and translate enumerates nothing; the model is collapsed by
+    # classify and once for the whole liar search
     assert calls == {
         "solve": 1,
         "global_sections": 1,
-        "global_section_space": 2,
+        "global_section_space": 1,
         "collapse_rational": 2,
     }
 
@@ -269,6 +270,38 @@ def test_analyze_pretty(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "contextuality level  : logical" in out
     assert "noncontextual fraction: 5/6" in out
+
+
+def test_pretty_is_an_analyze_option_only(tmp_path, capsys):
+    run(["builtin", "fr"], tmp_path, "model.json")
+    model = str(tmp_path / "model.json")
+    with pytest.raises(SystemExit) as info:
+        main(["translate", model, "--pretty"])
+    assert info.value.code == 2
+    assert_one_line_error(capsys, "unrecognized arguments: --pretty")
+
+
+@pytest.mark.parametrize("argv", [
+    # argparse reads -inf as an option, so --beta has no value
+    ["builtin", "wigner-compat", "--alpha", "1", "--beta", "-inf"],
+    ["frobnicate"],
+    ["analyze", "--jobs", "2", "m.json"],
+    ["analyze"],
+    ["modal", "eval", "k.json"],
+])
+def test_usage_error_is_one_line_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["analyze", "-h"], ["modal", "eval", "-h"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: epimodal")
 
 
 def test_model_json_round_trip_via_cli(tmp_path):

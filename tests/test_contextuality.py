@@ -7,6 +7,8 @@ import pytest
 from epimodal import (
     HierarchyLevel,
     Semiring,
+    build_fr_model,
+    build_pr_model,
     build_wigner_model,
     classify,
     extendable,
@@ -223,6 +225,83 @@ def test_decomposition_reuses_classify_solution(fr_model, pr_model):
         assert solution.value == noncontextual_fraction(model)
         reused = noncontextual_decomposition(model, solution)
         assert noncontextual_decomposition(model) == reused
+
+
+def pushforward_decomposition(model, solution):
+    """Oracle: the decomposition rebuilt from the LP's point, each global
+    assignment's weight pushed forward to every context by ``restrict``."""
+    ncf = solution.value
+    scen = model.scenario
+    lam = global_section_space(scen)
+    pushed = {}
+    for ctx in scen.maximal_contexts:
+        pushed[ctx] = {sec: F(0) for sec in sections(scen, ctx)}
+        for g, w in zip(lam, solution.point, strict=True):
+            if w:
+                pushed[ctx][restrict(g, ctx)] += w
+    nc = residual = None
+    if ncf > 0:
+        nc = new_model(scen, Semiring.RATIONAL, {
+            ctx: {sec: v / ncf for sec, v in table.items()}
+            for ctx, table in pushed.items()
+        })
+    if ncf < 1:
+        residual = new_model(scen, Semiring.RATIONAL, {
+            ctx: {
+                sec: (model.tables[ctx][sec] - v) / (1 - ncf)
+                for sec, v in table.items()
+            }
+            for ctx, table in pushed.items()
+        })
+    return ncf, nc, residual
+
+
+DECOMPOSED = {
+    "FR": build_fr_model,
+    "lifted PR": lambda: uniform_rational_lift(build_pr_model()),
+    "noisy PR": noisy_pr_model,
+    "product": product_model,
+    **{
+        f"noisy {n}-cycle at {noise}": (
+            lambda n=n, noise=noise: noisy_cycle_model([noise] * n)
+        )
+        for n in range(3, 9)
+        for noise in (F(1, 3), F(1, 10))
+    },
+}
+
+
+@pytest.mark.parametrize("name", DECOMPOSED)
+def test_decomposition_matches_pushforward_oracle(name):
+    model = DECOMPOSED[name]()
+    solution = noncontextual_fraction_certified(model)
+    got = noncontextual_decomposition(model, solution)
+    assert got == pushforward_decomposition(model, solution)
+
+
+def test_decomposition_of_a_solution_builds_and_solves_nothing(
+    fr_model, monkeypatch
+):
+    solutions = [
+        (model, classify(model).solution)
+        for model in (fr_model, noisy_pr_model(), product_model())
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the decomposition must read the given solution")
+
+    monkeypatch.setattr(epimodal.scenario, "global_section_space", refuse)
+    monkeypatch.setattr(epimodal.scenario, "projection", refuse)
+    monkeypatch.setattr(epimodal.ratlp, "solve", refuse)
+    for model, solution in solutions:
+        ncf, nc, residual = noncontextual_decomposition(model, solution)
+        assert ncf == solution.value
+        for ctx in model.scenario.maximal_contexts:
+            for sec, v in model.tables[ctx].items():
+                combined = (ncf * nc.tables[ctx][sec] if nc else 0) + (
+                    (1 - ncf) * residual.tables[ctx][sec] if residual else 0
+                )
+                assert combined == v
 
 
 def test_ncf_lp_build_restricts_once_per_context_and_assignment(monkeypatch):

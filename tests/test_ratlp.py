@@ -22,11 +22,27 @@ def dense_rows(lp: LinearProgram) -> list[list[Fraction]]:
     return rows
 
 
+def remainders(lp: LinearProgram, x) -> tuple[Fraction, ...]:
+    """u - A.x, row by row over the dense rows."""
+    return tuple(
+        bound - sum(a * v for a, v in zip(row, x))
+        for row, bound in zip(dense_rows(lp), lp.bounds)
+    )
+
+
+def solved(lp: LinearProgram, trace=None):
+    """``solve``, with the returned slack checked against u - A.x."""
+    sol = solve(lp, trace=trace)
+    assert sol.slack == remainders(lp, sol.point)
+    return sol
+
+
 def fraction_tableau_solve(lp: LinearProgram, trace):
     """Reference simplex on a dense ``Fraction`` tableau [A | I | u]:
     Bland's entering rule, the minimum ratio leaving with ties to the
-    smaller basis index.  Returns (value, point, dual point, pivots); raises
-    Unbounded with the improving ray read off the entering column."""
+    smaller basis index.  Returns (value, point, slack, dual point,
+    pivots); raises Unbounded with the improving ray read off the entering
+    column."""
     n, m = len(lp.objective), len(lp.rows)
     tab = [
         row + [F(int(i == k)) for k in range(m)] + [lp.bounds[i]]
@@ -64,22 +80,21 @@ def fraction_tableau_solve(lp: LinearProgram, trace):
         cost = [a - f * b for a, b in zip(cost, pivot_row)]
         basis[leaving] = entering
         pivots += 1
-    x = [F(0)] * n
+    x = [F(0)] * (n + m)  # point, then slack
     for i, var in enumerate(basis):
-        if var < n:
-            x[var] = tab[i][-1]
+        x[var] = tab[i][-1]
     value = sum(c * v for c, v in zip(lp.objective, x))
-    return value, tuple(x), tuple(cost[n:n + m]), pivots
+    return value, tuple(x[:n]), tuple(x[n:]), tuple(cost[n:n + m]), pivots
 
 
 def run_both(lp):
     """Outcomes of ``solve`` and of the reference, each with its trace of
-    bases: (value, point, dual point, pivots, bases) or ("unbounded", ray,
-    bases)."""
+    bases: (value, point, slack, dual point, pivots, bases) or
+    ("unbounded", ray, bases)."""
 
     def integer(trace):
-        sol = solve(lp, trace=trace)
-        return sol.value, sol.point, sol.dual_point, sol.pivots
+        sol = solved(lp, trace=trace)
+        return sol.value, sol.point, sol.slack, sol.dual_point, sol.pivots
 
     outcomes = []
     for run in (integer, lambda trace: fraction_tableau_solve(lp, trace)):
@@ -141,7 +156,7 @@ def _solve_square(a, b):
 
 def test_single_constraint():
     lp = LinearProgram.build([1], [[1]], [F(1, 3)])
-    sol = solve(lp)
+    sol = solved(lp)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.value == F(1, 3)
     assert sol.point == (F(1, 3),)
@@ -150,7 +165,7 @@ def test_single_constraint():
 def test_two_variable_hand_enumeration():
     # vertices: (0,0), (1/2,0), (0,1), (1/2,1/2); optimum value 1
     lp = LinearProgram.build([1, 1], [[1, 1], [1, 0]], [1, F(1, 2)])
-    sol = solve(lp)
+    sol = solved(lp)
     assert sol.value == 1
     assert brute_force_optimum(lp) == 1
 
@@ -158,7 +173,7 @@ def test_two_variable_hand_enumeration():
 def test_unbounded():
     lp = LinearProgram.build([1, 0], [[0, 1]], [1])
     with pytest.raises(Unbounded) as info:
-        solve(lp)
+        solved(lp)
     ray = info.value.ray
     assert ray[0] > 0  # moving along the ray increases the objective
 
@@ -177,7 +192,7 @@ def test_malformed():
 def test_degenerate_zero_bounds():
     # zero bounds force both variables to zero despite positive objective
     lp = LinearProgram.build([1, 1], [[1, 0], [0, 1]], [0, 0])
-    sol = solve(lp)
+    sol = solved(lp)
     assert sol.value == 0
 
 
@@ -185,7 +200,7 @@ def test_certificate_fields():
     lp = LinearProgram.build(
         [2, 1], [[1, 1], [1, 0], [0, 1]], [1, F(3, 4), F(3, 4)]
     )
-    sol = solve(lp)
+    sol = solved(lp)
     # strong duality is checked inside solve; recheck here explicitly
     assert sum(y * b for y, b in zip(sol.dual_point, lp.bounds)) == sol.value
     assert all(y >= 0 for y in sol.dual_point)
@@ -199,7 +214,7 @@ def test_bland_no_basis_repeats():
         [[1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
         [1, F(1, 2), F(1, 2), F(1, 2)],
     )
-    solve(lp, trace=lambda i, basis: seen.append(frozenset(basis)))
+    solved(lp, trace=lambda i, basis: seen.append(frozenset(basis)))
     assert len(seen) == len(set(seen))
 
 
@@ -221,7 +236,7 @@ def test_matches_vertex_enumeration(n, m, data):
     assert_matches_fraction_tableau_oracle(lp)
     expected = brute_force_optimum(lp)
     try:
-        sol = solve(lp)
+        sol = solved(lp)
     except Unbounded:
         # oracle: some ray must improve without violating constraints; the
         # certificate from the exception is checked by construction inside
@@ -246,12 +261,12 @@ def test_variable_order_invariance(perm, data):
     assert_matches_fraction_tableau_oracle(lp)
     assert_matches_fraction_tableau_oracle(permuted)
     try:
-        expected = solve(lp).value
+        expected = solved(lp).value
     except Unbounded:
         with pytest.raises(Unbounded):
-            solve(permuted)
+            solved(permuted)
         return
-    assert solve(permuted).value == expected
+    assert solved(permuted).value == expected
 
 
 # Half the entries drawn are 0, so that zero columns, zero rows and rows of
@@ -292,8 +307,8 @@ def test_matches_fraction_tableau_oracle(n, m, data):
     ))
 
 
-# Sparse edge cases, each with its expected outcome: (value, point, dual
-# point, pivots) or ("unbounded", ray).
+# Sparse edge cases, each with its expected outcome: (value, point, slack,
+# dual point, pivots) or ("unbounded", ray).
 SPARSE_EDGE_CASES = {
     # column 1 has no nonzero entry and c_1 > 0: the ray is e_1
     "empty column": (
@@ -307,11 +322,11 @@ SPARSE_EDGE_CASES = {
     ),
     "all-zero row": (
         LinearProgram.build([1, 1], [[0, 0], {0: 1, 1: 1}, {}], [F(1, 2), 1, 0]),
-        (F(1), (F(1), F(0)), (F(0), F(1), F(0)), 1),
+        (F(1), (F(1), F(0)), (F(1, 2), F(0), F(0)), (F(0), F(1), F(0)), 1),
     ),
     "no rows, nothing to gain": (
         LinearProgram.build([0, -1, F(-1, 3)], [], []),
-        (F(0), (F(0), F(0), F(0)), (), 0),
+        (F(0), (F(0), F(0), F(0)), (), (), 0),
     ),
     "no rows, unbounded": (
         LinearProgram.build([-1, 0, F(1, 3)], [], []),
@@ -321,7 +336,7 @@ SPARSE_EDGE_CASES = {
         LinearProgram.build(
             [0, 1, 0, 0], [{0: 1, 1: 1, 3: 2}, {1: F(1, 2), 2: -1}], [1, F(1, 4)]
         ),
-        (F(1), (F(0), F(1), F(1, 4), F(0)), (F(1), F(0)), 2),
+        (F(1), (F(0), F(1), F(1, 4), F(0)), (F(0), F(0)), (F(1), F(0)), 2),
     ),
 }
 
@@ -352,23 +367,26 @@ def test_ncycle_lp_matches_fraction_tableau_oracle(n, monkeypatch):
     model = noisy_cycle_model(NOISE[:n], odd_at=n // 2)
     lps = []
     monkeypatch.setattr(
-        "epimodal.ratlp.solve", lambda lp, trace=None: lps.append(lp) or solve(lp)
+        "epimodal.ratlp.solve", lambda lp, trace=None: lps.append(lp) or solved(lp)
     )
     noncontextual_fraction_certified(model)
     (lp,) = lps
     integer, reference = run_both(lp)
     assert integer == reference
     assert integer[0] == min(1, sum(NOISE[:n]) / 2)
-    assert integer[3] > 0
+    assert integer[4] > 0
 
 
-# One LP, its optimum x = (1/2, 1/2) with dual y = (1, 0) and value 1, and
-# one corrupted certificate per check of _verify_certificate.
+# One LP, its optimum x = (1/2, 1/2) with slack (0, 0), dual y = (1, 0)
+# and value 1, and one corrupted certificate per check of
+# _verify_certificate.
 CERTIFIED = LinearProgram.build([1, 1], [[1, 1], [1, 0]], [1, F(1, 2)])
 
 
 def test_verify_certificate_accepts_the_optimum():
-    _verify_certificate(CERTIFIED, [F(1, 2), F(1, 2)], (F(1), F(0)), F(1))
+    _verify_certificate(
+        CERTIFIED, [F(1, 2), F(1, 2)], (F(0), F(0)), (F(1), F(0)), F(1)
+    )
 
 
 @pytest.mark.parametrize("x,y,value,message", [
@@ -379,5 +397,18 @@ def test_verify_certificate_accepts_the_optimum():
     ([F(1, 2), F(1, 2)], (F(1), F(1)), F(1), "strong duality"),
 ])
 def test_verify_certificate_rejects(x, y, value, message):
+    # the slack is u - A.x, so only the other fields are corrupted
     with pytest.raises(Malformed, match=message):
-        _verify_certificate(CERTIFIED, x, y, value)
+        _verify_certificate(CERTIFIED, x, remainders(CERTIFIED, x), y, value)
+
+
+@pytest.mark.parametrize("x,s,message", [
+    # a wrong slack at the optimum
+    ([F(1, 2), F(1, 2)], (F(0), F(1, 2)), "slack is not"),
+    # a slack that is u - A.x but negative: x = (1, 0) breaks row 2
+    ([F(1), F(0)], (F(0), F(-1, 2)), "violates a constraint"),
+])
+def test_verify_certificate_rejects_a_bad_slack(x, s, message):
+    assert (s == remainders(CERTIFIED, x)) == (message != "slack is not")
+    with pytest.raises(Malformed, match=message):
+        _verify_certificate(CERTIFIED, x, s, (F(1), F(0)), F(1))
