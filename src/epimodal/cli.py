@@ -17,6 +17,7 @@ there is no randomness anywhere in the pipeline.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -313,6 +314,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than ``low``."""
+
+    def read(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return read
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="epimodal",
@@ -359,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = modal_sub.add_parser("axioms", parents=[shared])
     q.add_argument("model")
     q.add_argument("--vars", default="p")
-    q.add_argument("--depth", type=int, default=1)
-    q.add_argument("--limit", type=int, default=100)
+    q.add_argument("--depth", type=_int_at_least(0), default=1)
+    q.add_argument("--limit", type=_int_at_least(1), default=100)
     q.set_defaults(func=_cmd_modal)
     q = modal_sub.add_parser("truth", parents=[shared])
     q.add_argument("model")
@@ -368,9 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call only: parsing leaves no state in the parser.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DisturbingModel as exc:

@@ -165,6 +165,10 @@ class EmptyAgentSet(ModalError):
     pass
 
 
+class NegativeBound(ModalError):
+    """A formula enumeration was asked for a negative depth or limit."""
+
+
 class NotS4(ModalError):
     """A relation is not reflexive and transitive."""
 

@@ -153,15 +153,18 @@ def topomodel_to_obj(model: TopoModel) -> dict:
     }
 
 
+def _pairs(value, agent: str) -> list[tuple[str, ...]]:
+    if not isinstance(value, list):
+        raise ParseError(f"relation of {agent!r} must be a list of pairs, got {value!r}")
+    return [tuple(_strings(p, f"each pair of {agent!r}")) for p in value]
+
+
 def topomodel_from_obj(obj, require_s4: bool = True) -> TopoModel:
     try:
         return TopoModel.make(
             _strings(obj["worlds"], "worlds"),
             _strings(obj["agents"], "agents"),
-            {
-                a: [tuple(_strings(p, f"each pair of {a!r}")) for p in pairs]
-                for a, pairs in obj["relations"].items()
-            },
+            {a: _pairs(pairs, a) for a, pairs in obj["relations"].items()},
             {
                 p: _strings(where, f"valuation of {p!r}")
                 for p, where in obj.get("valuation", {}).items()

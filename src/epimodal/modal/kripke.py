@@ -13,6 +13,15 @@ Alexandrov topology whose minimal neighborhoods are the successor sets, and
 K(i) becomes the interior operator.  ``topology_of`` / ``relation_of``
 implement the two directions of that equivalence; ``eval_topological``
 recomputes formulas through the open-set lattice as an independent route.
+
+``eval_formula`` works on bitsets: world i is bit ``1 << i``, a set of
+worlds is an int, and the connectives are ``&``, ``|`` and ``^``.  Each
+model caches, per relation (an agent's, or a group's union or
+intersection), its successor map, its successor bitmask per world and its
+knowledge image {w : R(w) inside T} per target mask T, all derived on
+first use.  The caches are safe because a TopoModel is never changed after
+construction: its fields are frozen and nothing writes to its relations or
+valuation, so a derived value stays valid for the life of the model.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ import itertools
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import reduce
+from types import MappingProxyType
 
 from ..errors import (
     EmptyAgentSet,
@@ -45,23 +55,67 @@ def is_preorder(worlds: Iterable[str], relation: Relation) -> bool:
     )
 
 
+class _Relation:
+    """One accessibility relation of a model, as sets and as bitmasks.
+
+    ``successors`` maps each world to its successor set (read-only);
+    ``masks`` holds the same sets as bitmasks, in world order.
+    """
+
+    __slots__ = ("successors", "masks", "_images")
+
+    def __init__(self, successors: dict[str, Worlds], bits: Mapping[str, int]):
+        self.successors = MappingProxyType(successors)
+        self.masks = tuple(
+            sum(bits[v] for v in succ) for succ in successors.values()
+        )
+        self._images: dict[int, int] = {}
+
+    def knows(self, target: int) -> int:
+        """Bitmask of the worlds w with R(w) inside ``target``, memoised."""
+        image = self._images.get(target)
+        if image is None:
+            image = 0
+            outside = ~target
+            for i, succ in enumerate(self.masks):
+                if not succ & outside:
+                    image |= 1 << i
+            self._images[target] = image
+        return image
+
+
 @dataclass(frozen=True, eq=False)
 class TopoModel:
-    """Worlds, per-agent S4 accessibility relations, and a valuation."""
+    """Worlds, per-agent S4 accessibility relations, and a valuation.
+
+    Never changed after construction; the private fields cache what is
+    derived from the public ones (see the module docstring).
+    """
 
     worlds: tuple[str, ...]
     agents: tuple[str, ...]
     relations: Mapping[str, Relation]
     valuation: Mapping[str, Worlds]
     _successors: dict = field(repr=False, default_factory=dict)
+    _bits: dict = field(repr=False, default_factory=dict)
+    _masks: dict = field(repr=False, default_factory=dict)
+    _groups: dict = field(repr=False, default_factory=dict)
+    _by_agent: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
+        for i, w in enumerate(self.worlds):
+            self._bits[w] = 1 << i
         for agent in self.agents:
             relation = self.relations[agent]
-            self._successors[agent] = {
+            succ = {
                 w: frozenset(v for (a, v) in relation if a == w)
                 for w in self.worlds
             }
+            self._successors[agent] = succ
+            self._by_agent[agent] = _Relation(succ, self._bits)
+            self._groups[frozenset([agent]), False] = self._by_agent[agent]
+        for p, where in self.valuation.items():
+            self._masks[p] = sum(self._bits[w] for w in where)
 
     @classmethod
     def make(
@@ -103,55 +157,70 @@ class TopoModel:
             raise UnknownAgent(agent)
         return self._successors[agent][world]
 
-    def group_successors(self, agents: frozenset[str], mode: str):
-        """Successor map of R_E (union, mode 'E') or R_D (intersection, 'D')."""
-        if not agents:
+    def _group(self, agents: Iterable[str], mode: str) -> _Relation:
+        """R_E (union, mode 'E') or R_D (intersection, 'D') of a group,
+        built on first use; for one agent both are its own relation."""
+        group = frozenset(agents)
+        if not group:
             raise EmptyAgentSet("knowledge of the empty agent set")
-        maps = []
-        for agent in sorted(agents):
-            if agent not in self._successors:
-                raise UnknownAgent(agent)
-            maps.append(self._successors[agent])
-        op = frozenset.union if mode == "E" else frozenset.intersection
-        return {w: reduce(op, (m[w] for m in maps)) for w in self.worlds}
+        union = mode == "E" and len(group) > 1
+        relation = self._groups.get((group, union))
+        if relation is None:
+            maps = []
+            for agent in sorted(group):
+                if agent not in self._successors:
+                    raise UnknownAgent(agent)
+                maps.append(self._successors[agent])
+            op = frozenset.union if union else frozenset.intersection
+            relation = _Relation(
+                {w: reduce(op, (m[w] for m in maps)) for w in self.worlds},
+                self._bits,
+            )
+            self._groups[group, union] = relation
+        return relation
+
+    def group_successors(self, agents: frozenset[str], mode: str):
+        """Successor map of R_E (union, mode 'E') or R_D (intersection, 'D'),
+        read-only and shared by every call with the same group and mode."""
+        return self._group(agents, mode).successors
 
 
 def eval_formula(model: TopoModel, formula: Formula) -> Worlds:
     """The set of worlds where the formula holds (Kripke semantics)."""
-    universe = frozenset(model.worlds)
+    full = (1 << len(model.worlds)) - 1
+    masks = model._masks
 
-    def go(node: Formula) -> Worlds:
+    def go(node: Formula) -> int:
         if isinstance(node, Var):
             try:
-                return model.valuation[node.name]
+                return masks[node.name]
             except KeyError:
                 raise UnknownVariable(f"unknown proposition {node.name!r}") from None
         if isinstance(node, Not):
-            return universe - go(node.operand)
+            return full ^ go(node.operand)
         if isinstance(node, And):
             return go(node.left) & go(node.right)
         if isinstance(node, Or):
             return go(node.left) | go(node.right)
         if isinstance(node, Implies):
-            return (universe - go(node.left)) | go(node.right)
+            return (full ^ go(node.left)) | go(node.right)
         if isinstance(node, Iff):
             left, right = go(node.left), go(node.right)
-            return universe - (left ^ right)
+            return full ^ left ^ right
         if isinstance(node, K):
             target = go(node.operand)
-            if node.agent not in model._successors:
+            relation = model._by_agent.get(node.agent)
+            if relation is None:
                 raise UnknownAgent(node.agent)
-            succ = model._successors[node.agent]
-            return frozenset(w for w in model.worlds if succ[w] <= target)
+            return relation.knows(target)
         if isinstance(node, (E, D)):
             target = go(node.operand)
-            succ = model.group_successors(
-                node.agents, "E" if isinstance(node, E) else "D"
-            )
-            return frozenset(w for w in model.worlds if succ[w] <= target)
+            mode = "E" if isinstance(node, E) else "D"
+            return model._group(node.agents, mode).knows(target)
         raise TypeError(f"not a formula node: {node!r}")
 
-    return go(formula)
+    holds = go(formula)
+    return frozenset(w for w in model.worlds if holds & model._bits[w])
 
 
 @dataclass(frozen=True)

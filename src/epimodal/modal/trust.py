@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from ..errors import EmptyAgentSet, TrustPreconditionFailed
+from ..errors import EmptyAgentSet, NegativeBound, TrustPreconditionFailed
 from .formulas import And, D, E, Formula, Iff, Implies, K, Not, Or, Var, to_text
 from .kripke import TopoModel, Worlds, eval_formula
 
@@ -146,6 +146,24 @@ class AxiomReport:
         )
 
 
+def _next_level(
+    current: Sequence[Formula], agents: Sequence[str], group: frozenset[str]
+) -> Iterator[Formula]:
+    """The formulas one connective above ``current``, in BFS order."""
+    for f in current:
+        yield Not(f)
+        for agent in agents:
+            yield K(agent, f)
+        if group:
+            yield E(group, f)
+            yield D(group, f)
+    for f, g in itertools.product(current, repeat=2):
+        yield And(f, g)
+        yield Or(f, g)
+        yield Implies(f, g)
+        yield Iff(f, g)
+
+
 def enumerate_formulas(
     variables: Sequence[str],
     agents: Sequence[str],
@@ -154,27 +172,29 @@ def enumerate_formulas(
 ) -> list[Formula]:
     """Formulas over the variables up to the given connective depth.
 
-    Breadth-first and deterministic.  The full space explodes beyond depth
-    two, so ``limit`` caps the result (earlier, shallower formulas win).
+    Breadth-first and deterministic, without repeats beyond those of the
+    variables themselves.  The full space explodes beyond depth two, so
+    ``limit`` caps the result (earlier, shallower formulas win); each level
+    is built lazily and only until the cap is reached.
     """
+    if depth < 0:
+        raise NegativeBound(f"depth must be at least 0, got {depth}")
+    if limit is not None and limit < 0:
+        raise NegativeBound(f"limit must be at least 0, got {limit}")
     current: list[Formula] = [Var(v) for v in variables]
     pool: list[Formula] = list(current)
+    seen = set(pool)
     group = frozenset(agents)
     for _ in range(depth):
-        if limit is not None and len(pool) >= limit:
+        if not current or (limit is not None and len(pool) >= limit):
             break
-        nxt: list[Formula] = []
-        for f in current:
-            nxt.append(Not(f))
-            for agent in agents:
-                nxt.append(K(agent, f))
-            if group:
-                nxt.append(E(group, f))
-                nxt.append(D(group, f))
-        for f, g in itertools.product(current, repeat=2):
-            nxt.extend((And(f, g), Or(f, g), Implies(f, g), Iff(f, g)))
-        seen = set(pool)
-        fresh = [f for f in nxt if f not in seen and not seen.add(f)]
+        fresh: list[Formula] = []
+        for f in _next_level(current, agents, group):
+            if f not in seen:
+                seen.add(f)
+                fresh.append(f)
+                if limit is not None and len(pool) + len(fresh) == limit:
+                    break
         pool.extend(fresh)
         current = fresh
     return pool if limit is None else pool[:limit]

@@ -1,7 +1,10 @@
-"""Seeded random generators shared by the modal test modules."""
+"""Seeded random generators and the reference evaluator shared by the
+modal test modules."""
 
 import random
+from functools import reduce
 
+from epimodal.errors import EmptyAgentSet, UnknownAgent, UnknownVariable
 from epimodal.modal import And, D, E, Iff, Implies, K, Not, Or, TopoModel, Var
 
 
@@ -18,12 +21,12 @@ def transitive_reflexive_closure(worlds, pairs):
     return frozenset(closure)
 
 
-def random_preorder(rng: random.Random, worlds):
+def random_preorder(rng: random.Random, worlds, density=0.3):
     pairs = {
         (a, b)
         for a in worlds
         for b in worlds
-        if a != b and rng.random() < 0.3
+        if a != b and rng.random() < density
     }
     return transitive_reflexive_closure(worlds, pairs)
 
@@ -35,10 +38,12 @@ def random_relation(rng: random.Random, worlds):
     )
 
 
-def random_s4_model(rng: random.Random, n_worlds, n_agents, n_vars=2):
+def random_s4_model(rng: random.Random, n_worlds, n_agents, n_vars=2, density=0.3):
+    """S4 frame whose preorders close random edges of the given density;
+    sparse ones keep many distinct successor sets on larger frames."""
     worlds = [f"w{i}" for i in range(n_worlds)]
     agents = [f"a{i}" for i in range(n_agents)]
-    relations = {agent: random_preorder(rng, worlds) for agent in agents}
+    relations = {agent: random_preorder(rng, worlds, density) for agent in agents}
     valuation = {
         f"p{i}": frozenset(w for w in worlds if rng.random() < 0.5)
         for i in range(n_vars)
@@ -78,3 +83,58 @@ def random_formula(rng: random.Random, variables, agents, depth):
         4: And, 5: Or, 6: Implies, 7: Iff,
         8: lambda a, b: Not(And(a, b)),
     }[kind](sub, other)
+
+
+def reference_successors(model: TopoModel, agents, mode):
+    """Successor map of R_E (union, mode 'E') or R_D (intersection, 'D'),
+    read off ``model.relations`` on every call."""
+    if not agents:
+        raise EmptyAgentSet("knowledge of the empty agent set")
+    maps = []
+    for agent in sorted(agents):
+        if agent not in model.relations:
+            raise UnknownAgent(agent)
+        relation = model.relations[agent]
+        maps.append({
+            w: frozenset(v for (a, v) in relation if a == w) for w in model.worlds
+        })
+    op = frozenset.union if mode == "E" else frozenset.intersection
+    return {w: reduce(op, (m[w] for m in maps)) for w in model.worlds}
+
+
+def eval_formula_reference(model: TopoModel, formula):
+    """Kripke semantics on frozensets of worlds, with no cache: the
+    evaluator that ``eval_formula`` replaced, kept as the oracle for its
+    bitsets and caches.  Raises the same errors, with the same messages,
+    in the same order (an operand before its modality's agents)."""
+    universe = frozenset(model.worlds)
+
+    def go(node):
+        if isinstance(node, Var):
+            try:
+                return model.valuation[node.name]
+            except KeyError:
+                raise UnknownVariable(f"unknown proposition {node.name!r}") from None
+        if isinstance(node, Not):
+            return universe - go(node.operand)
+        if isinstance(node, And):
+            return go(node.left) & go(node.right)
+        if isinstance(node, Or):
+            return go(node.left) | go(node.right)
+        if isinstance(node, Implies):
+            return (universe - go(node.left)) | go(node.right)
+        if isinstance(node, Iff):
+            left, right = go(node.left), go(node.right)
+            return universe - (left ^ right)
+        if isinstance(node, K):
+            target = go(node.operand)
+            succ = reference_successors(model, [node.agent], "D")
+        elif isinstance(node, (E, D)):
+            target = go(node.operand)
+            mode = "E" if isinstance(node, E) else "D"
+            succ = reference_successors(model, node.agents, mode)
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+        return frozenset(w for w in model.worlds if succ[w] <= target)
+
+    return go(formula)

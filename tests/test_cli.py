@@ -346,6 +346,82 @@ def test_modal_subcommands(tmp_path, capsys):
     assert out["vacuity_holds"] is True
 
 
+def write_topo(tmp_path):
+    topo = tmp_path / "topo.json"
+    topo.write_text(json.dumps({
+        "worlds": ["u", "v"], "agents": ["a"],
+        "relations": {"a": [["u", "u"], ["v", "v"], ["u", "v"]]},
+        "valuation": {"p": ["u"], "q": ["v"]},
+    }))
+    return str(topo)
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--limit", "0", "argument --limit: must be at least 1, got 0"),
+    ("--limit", "-1", "argument --limit: must be at least 1, got -1"),
+    ("--depth", "-1", "argument --depth: must be at least 0, got -1"),
+    ("--depth", "-7", "argument --depth: must be at least 0, got -7"),
+    ("--limit", "x", "argument --limit: invalid int value: 'x'"),
+    ("--depth", "1.5", "argument --depth: invalid int value: '1.5'"),
+])
+def test_modal_axioms_rejects_out_of_range_bounds(tmp_path, capsys, option, value, message):
+    # --limit -1 used to drop the last variable from the pool, and --limit 0
+    # reported K, T and 4 valid over 0 instances
+    argv = ["modal", "axioms", write_topo(tmp_path), "--vars", "p,q", option, value]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_modal_axioms_accepts_the_smallest_bounds(tmp_path, capsys):
+    topo = write_topo(tmp_path)
+    assert main(["modal", "axioms", topo, "--vars", "p,q", "--depth", "0",
+                 "--limit", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    # a pool of one formula, p: 1 K instance (p -> p), 1 T and 1 4
+    assert [out[s]["instances"] for s in ("K", "T", "4")] == [1, 1, 1]
+
+
+def test_main_calls_share_no_state(tmp_path, capsys):
+    run(["builtin", "fr"], tmp_path, "model.json")
+    model = str(tmp_path / "model.json")
+    assert main(["analyze", model, "--pretty"]) == 11
+    assert capsys.readouterr().out.startswith("measurements : ")
+    assert main(["analyze", model]) == 11
+    assert json.loads(capsys.readouterr().out)["contextuality"]["ncf"] == "5/6"
+
+    topo = write_topo(tmp_path)
+    assert main(["modal", "axioms", topo, "--depth", "2"]) == 0
+    deep = json.loads(capsys.readouterr().out)
+    assert main(["modal", "axioms", topo]) == 0
+    shallow = json.loads(capsys.readouterr().out)
+    # one agent over p: depth 1 is p, !p, K{a} p, E{a} p, D{a} p, p & p,
+    # p | p, p -> p and p <-> p (9 formulas); depth 2 is capped at 100
+    assert [shallow[s]["instances"] for s in ("K", "T", "4")] == [36, 9, 9]
+    assert [deep[s]["instances"] for s in ("K", "T", "4")] == [400, 100, 100]
+
+    target = tmp_path / "truth.json"
+    assert main(["modal", "truth", topo, "--out", str(target)]) == 0
+    written = target.read_text()
+    assert capsys.readouterr().out == ""
+    assert main(["modal", "truth", topo]) == 0
+    assert capsys.readouterr().out == written
+    assert target.read_text() == written
+
+    with pytest.raises(SystemExit) as info:
+        main(["modal", "axioms", topo, "--limit", "0"])
+    assert info.value.code == 2
+    assert_one_line_error(capsys)
+    with pytest.raises(SystemExit) as info:
+        main(["modal", "axioms", "-h"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: epimodal modal axioms")
+    assert main(["modal", "eval", topo, "-f", "p"]) == 0
+    assert json.loads(capsys.readouterr().out)["worlds"] == ["u"]
+
+
 def test_modal_syntax_error_exit_2(tmp_path, capsys):
     topo = tmp_path / "topo.json"
     topo.write_text(json.dumps({
@@ -389,6 +465,7 @@ def test_modal_unknown_agent_message(tmp_path, capsys):
 
 @pytest.mark.parametrize("field,value", [
     ("worlds", "uv"), ("agents", "a"), ("valuation", {"p": "u"}),
+    ("relations", {"a": {}}),  # an object is no list of pairs, even empty
 ])
 def test_modal_string_for_a_list_exit_2(tmp_path, capsys, field, value):
     frame = {

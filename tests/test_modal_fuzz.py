@@ -6,7 +6,9 @@ names), applies one to three mutations (drop a key or a list item, swap a
 list, string, number or object for another type) and runs ``modal eval``,
 ``trust``, ``axioms`` and ``truth`` in process with drawn arguments.  Every
 run must exit 0 or 2 without a traceback, and a frame whose JSON types
-break the documented topomodel shape must exit 2.
+break the documented topomodel shape must exit 2.  A second property
+mutates the ``--depth`` and ``--limit`` of ``modal axioms`` on valid
+frames: out of range or not an integer exits 2 with one ``error:`` line.
 """
 
 import contextlib
@@ -102,3 +104,49 @@ def test_modal_survives_mutated_frames(obj, formula, truster, trusted, variables
             assert "Traceback" not in err.getvalue()
             if not well_typed(obj):
                 assert code == 2, (argv, code, obj)
+
+
+# Bounded: a large depth is capped by the limit (at most 100 by default),
+# and the enumeration stops as soon as the limit is met.
+DEPTHS = ["-1", "-100", "0", "1", "2", "3", "1000000", "1.5", "x", "", "+1", " 2"]
+LIMITS = ["-1", "-5", "0", "1", "7", "100", "2.0", "x", "", "1e3", "-0"]
+
+
+def _in_range(text: str, low: int) -> bool:
+    try:
+        return int(text) >= low
+    except ValueError:
+        return False
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(BASES),
+    st.sampled_from(["p", "p,p", ""]),  # every base frame values p
+    st.one_of(st.none(), st.sampled_from(DEPTHS)),
+    st.one_of(st.none(), st.sampled_from(LIMITS)),
+)
+def test_modal_axioms_survives_mutated_bounds(obj, variables, depth, limit):
+    argv = ["modal", "axioms", "", "--vars", variables]
+    if depth is not None:
+        argv += [f"--depth={depth}"]
+    if limit is not None:
+        argv += [f"--limit={limit}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        argv[2] = str(Path(tmp) / "frame.json")
+        Path(argv[2]).write_text(json.dumps(obj))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in {0, 2}, (argv, code)
+    assert "Traceback" not in err.getvalue()
+    valid = (depth is None or _in_range(depth, 0)) and (
+        limit is None or _in_range(limit, 1)
+    )
+    assert code == (0 if valid else 2), (argv, code, err.getvalue())
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1

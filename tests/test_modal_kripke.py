@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epimodal.errors import (
+    EmptyAgentSet,
     NotAlexandrov,
     NotS4,
     UnknownAgent,
@@ -24,7 +25,13 @@ from epimodal.modal import (
     relation_of,
     topology_of,
 )
-from modal_random import random_formula, random_s4_model
+from modal_random import (
+    eval_formula_reference,
+    random_formula,
+    random_raw_model,
+    random_s4_model,
+    reference_successors,
+)
 
 
 def total(worlds):
@@ -132,12 +139,105 @@ def test_topology_relation_round_trip(seed, n_worlds):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(0, 10**9), st.integers(2, 6), st.integers(1, 3))
-def test_kripke_topological_agreement(seed, n_worlds, n_agents):
+@given(
+    st.integers(0, 10**9), st.integers(1, 14), st.integers(1, 3),
+    st.sampled_from([0.05, 0.1, 0.3]),
+)
+def test_kripke_topological_agreement(seed, n_worlds, n_agents, density):
+    # several formulas in a row on one model: later ones hit warm caches
     rng = random.Random(seed)
-    m = random_s4_model(rng, n_worlds=n_worlds, n_agents=n_agents)
-    phi = random_formula(rng, list(m.valuation), list(m.agents), depth=3)
-    assert eval_formula(m, phi) == eval_topological(m, phi)
+    m = random_s4_model(rng, n_worlds, n_agents, density=density)
+    for _ in range(4):
+        phi = random_formula(rng, list(m.valuation), list(m.agents), depth=3)
+        assert eval_formula(m, phi) == eval_topological(m, phi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 16), st.integers(1, 3))
+def test_eval_matches_the_reference_on_arbitrary_relations(seed, n_worlds, n_agents):
+    # up to 16 worlds, so world bitmasks cross a byte; the caches of one
+    # model serve every formula after the first
+    rng = random.Random(seed)
+    m = random_raw_model(rng, n_worlds=n_worlds, n_agents=n_agents, n_vars=2)
+    for _ in range(6):
+        phi = random_formula(rng, list(m.valuation), list(m.agents), depth=4)
+        assert eval_formula(m, phi) == eval_formula_reference(m, phi)
+        group = frozenset(rng.sample(m.agents, rng.randint(1, n_agents)))
+        for mode in ("E", "D"):
+            node = E(group, phi) if mode == "E" else D(group, phi)
+            assert eval_formula(m, node) == eval_formula_reference(m, node)
+            assert m.group_successors(group, mode) == reference_successors(m, group, mode)
+
+
+def test_eval_matches_the_reference_on_every_frame_size():
+    # hypothesis favours small frames; this sweep covers 9 to 16 worlds
+    # (masks of two bytes) and S4 frames of up to 14, sparse and dense.
+    # Many variables give many distinct knowledge targets per relation,
+    # and the second pass, in reverse, reads what the first one cached.
+    rng = random.Random(11)
+    for n_worlds in range(1, 17):
+        raw = random_raw_model(rng, n_worlds, 3, n_vars=8)
+        s4 = [
+            random_s4_model(rng, n_worlds, 3, n_vars=8, density=density)
+            for density in (0.05, 0.3) if n_worlds <= 14
+        ]
+        for m in [raw, *s4]:
+            agents = list(m.agents)
+            formulas = [
+                random_formula(rng, list(m.valuation), agents, depth=4)
+                for _ in range(6)
+            ]
+            formulas += [K(rng.choice(agents), Var(p)) for p in m.valuation]
+            for phi in formulas + formulas[::-1]:
+                worlds = eval_formula(m, phi)
+                assert worlds == eval_formula_reference(m, phi)
+                if m in s4:
+                    assert worlds == eval_topological(m, phi)
+
+
+def test_group_successors_is_read_only():
+    m = random_s4_model(random.Random(3), n_worlds=4, n_agents=2)
+    succ = m.group_successors(frozenset(m.agents), "E")
+    with pytest.raises(TypeError):
+        succ["w0"] = frozenset()
+    assert m.group_successors(frozenset(m.agents), "E") is succ
+
+
+def _empty_group(cls, operand):
+    """An E or D node over no agents, which the constructor refuses."""
+    node = object.__new__(cls)
+    object.__setattr__(node, "agents", frozenset())
+    object.__setattr__(node, "operand", operand)
+    return node
+
+
+@pytest.mark.parametrize("evaluate", [eval_formula, eval_formula_reference])
+def test_errors_after_a_successful_evaluation(evaluate):
+    m = TopoModel.make(
+        ["u", "v"], ["a", "b"],
+        {"a": total(["u", "v"]), "b": identity(["u", "v"])},
+        {"p": ["u"]},
+    )
+    # warm every cache the failing formulas could reach
+    phi = parse("K{a} p & E{a,b} p & D{a,b} p & K{b} !p")
+    assert evaluate(m, phi) == eval_formula_reference(m, phi) == frozenset()
+    cases = [
+        (Var("q"), UnknownVariable, "unknown proposition 'q'"),
+        (K("z", Var("p")), UnknownAgent, "unknown agent 'z'"),
+        # the operand is evaluated before the agent is looked up
+        (K("z", Var("q")), UnknownVariable, "unknown proposition 'q'"),
+        (E(frozenset({"a", "z"}), Var("p")), UnknownAgent, "unknown agent 'z'"),
+        (D(frozenset({"y", "z"}), Var("p")), UnknownAgent, "unknown agent 'y'"),
+        (_empty_group(E, Var("p")), EmptyAgentSet, "knowledge of the empty agent set"),
+        (_empty_group(D, Var("p")), EmptyAgentSet, "knowledge of the empty agent set"),
+    ]
+    for formula, error, message in cases:
+        with pytest.raises(error) as info:
+            evaluate(m, formula)
+        assert str(info.value) == message
+    with pytest.raises(EmptyAgentSet, match="^knowledge of the empty agent set$"):
+        m.group_successors(frozenset(), "E")
+    assert evaluate(m, phi) == frozenset()
 
 
 def test_interior_via_opens_matches_definition():

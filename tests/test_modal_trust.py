@@ -1,10 +1,17 @@
 import ast
+import collections
 import itertools
 import random
 
 import pytest
 
-from epimodal.errors import EmptyAgentSet, TrustPreconditionFailed
+import epimodal.modal.trust as trust
+from epimodal.errors import (
+    EmptyAgentSet,
+    ModalError,
+    NegativeBound,
+    TrustPreconditionFailed,
+)
 from epimodal.modal import (
     TopoModel,
     TrustFlavor,
@@ -267,3 +274,90 @@ def test_enumerate_formulas_bounded():
     pool = enumerate_formulas(["p"], ["a"], depth=2, limit=25)
     assert len(pool) == 25
     assert len(set(pool)) == 25
+
+
+def enumerate_formulas_eager(variables, agents, depth, limit=None):
+    """The reference enumeration: each BFS level is built whole, then
+    deduplicated against everything before it, and only then cut.  It
+    builds nodes through the names of ``epimodal.modal.trust``, so a test
+    that patches those counts its nodes too."""
+    current = [trust.Var(v) for v in variables]
+    pool = list(current)
+    group = frozenset(agents)
+    for _ in range(depth):
+        if limit is not None and len(pool) >= limit:
+            break
+        nxt = []
+        for f in current:
+            nxt.append(trust.Not(f))
+            for agent in agents:
+                nxt.append(trust.K(agent, f))
+            if group:
+                nxt.append(trust.E(group, f))
+                nxt.append(trust.D(group, f))
+        for f, g in itertools.product(current, repeat=2):
+            nxt.extend((trust.And(f, g), trust.Or(f, g),
+                        trust.Implies(f, g), trust.Iff(f, g)))
+        seen = set(pool)
+        fresh = [f for f in nxt if f not in seen and not seen.add(f)]
+        pool.extend(fresh)
+        current = fresh
+    return pool if limit is None else pool[:limit]
+
+
+LIMITS = [None, 1, 5, 25, 60, 100]
+
+
+@pytest.mark.parametrize("n_agents", range(5))
+@pytest.mark.parametrize("n_vars", [1, 2, 3])
+def test_enumeration_matches_the_eager_reference(n_vars, n_agents):
+    variables, agents = ["p", "q", "r"][:n_vars], ["a", "b", "c", "d"][:n_agents]
+    # every limit below is met inside level 2, so at depth 3 the eager
+    # reference never builds level 3 (tens of millions of nodes)
+    assert len(enumerate_formulas_eager(variables, agents, 2)) >= max(LIMITS[1:])
+    for depth in range(4):
+        for limit in LIMITS if depth < 3 else LIMITS[1:]:
+            assert enumerate_formulas(variables, agents, depth, limit) == (
+                enumerate_formulas_eager(variables, agents, depth, limit)
+            ), (depth, limit)
+
+
+@pytest.mark.parametrize("variables,agents", [
+    (["p", "p"], ["a"]), (["p"], ["a", "a"]), ([], ["a"]), (["p", "q"], []),
+])
+def test_enumeration_keeps_the_repeats_and_gaps_of_its_input(variables, agents):
+    for depth, limit in itertools.product(range(3), [None, 0, 1, 2, 7, 40]):
+        assert enumerate_formulas(variables, agents, depth, limit) == (
+            enumerate_formulas_eager(variables, agents, depth, limit)
+        )
+
+
+def test_enumeration_builds_only_what_the_limit_keeps(monkeypatch):
+    built = collections.Counter()
+    for name in ("Not", "K", "E", "D", "And", "Or", "Implies", "Iff"):
+        def make(*args, cls=getattr(trust, name)):
+            built[cls.__name__] += 1
+            return cls(*args)
+        monkeypatch.setattr(trust, name, make)
+    variables, agents = ["p", "q", "r"], ["a", "b"]
+    lazy = enumerate_formulas(variables, agents, depth=2, limit=60)
+    lazy_built = sum(built.values())
+    built.clear()
+    assert lazy == enumerate_formulas_eager(variables, agents, depth=2, limit=60)
+    # level 1 is 3 x (!, K{a}, K{b}, E, D) + 9 x (&, |, ->, <->) = 51 nodes,
+    # 54 formulas with the variables; level 2 is 51 x 5 + 51 x 51 x 4 =
+    # 10659 nodes, of which the limit keeps 6
+    assert sum(built.values()) == 51 + 10659
+    assert lazy_built == 51 + 6
+
+
+@pytest.mark.parametrize("depth,limit,message", [
+    (-1, None, "depth must be at least 0, got -1"),
+    (-1, 5, "depth must be at least 0, got -1"),
+    (1, -1, "limit must be at least 0, got -1"),
+])
+def test_enumeration_rejects_negative_bounds(depth, limit, message):
+    with pytest.raises(NegativeBound) as info:
+        enumerate_formulas(["p", "q"], ["a"], depth, limit)
+    assert isinstance(info.value, ModalError)
+    assert str(info.value) == message
