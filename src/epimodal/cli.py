@@ -43,6 +43,7 @@ from .modal import (
     soundness_violations,
     translate,
 )
+from .modal.trust import MAX_POOL
 
 EXIT_BY_LEVEL = {
     HierarchyLevel.NONCONTEXTUAL: 0,
@@ -314,8 +315,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def _int_at_least(low: int):
-    """An argparse type: an int no smaller than ``low``."""
+def _int_in_range(low: int, high: int | None = None):
+    """An argparse type: an int no smaller than ``low`` (and no larger
+    than ``high``, when given)."""
 
     def read(text: str) -> int:
         try:
@@ -324,6 +326,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return read
@@ -375,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = modal_sub.add_parser("axioms", parents=[shared])
     q.add_argument("model")
     q.add_argument("--vars", default="p")
-    q.add_argument("--depth", type=_int_at_least(0), default=1)
-    q.add_argument("--limit", type=_int_at_least(1), default=100)
+    q.add_argument("--depth", type=_int_in_range(0), default=1)
+    q.add_argument("--limit", type=_int_in_range(1, MAX_POOL), default=100)
     q.set_defaults(func=_cmd_modal)
     q = modal_sub.add_parser("truth", parents=[shared])
     q.add_argument("model")

@@ -169,6 +169,10 @@ class NegativeBound(ModalError):
     """A formula enumeration was asked for a negative depth or limit."""
 
 
+class PoolTooLarge(ModalError):
+    """A formula enumeration would hold more than ``trust.MAX_POOL`` formulas."""
+
+
 class NotS4(ModalError):
     """A relation is not reflexive and transitive."""
 

@@ -14,14 +14,18 @@ K(i) becomes the interior operator.  ``topology_of`` / ``relation_of``
 implement the two directions of that equivalence; ``eval_topological``
 recomputes formulas through the open-set lattice as an independent route.
 
-``eval_formula`` works on bitsets: world i is bit ``1 << i``, a set of
-worlds is an int, and the connectives are ``&``, ``|`` and ``^``.  Each
+Evaluation works on bitsets: world i is bit ``1 << i``, a set of worlds
+is an int, and the connectives are ``&``, ``|`` and ``^``.  ``eval_mask``
+returns the int, and ``eval_formula`` the worlds whose bits are set.  Each
 model caches, per relation (an agent's, or a group's union or
-intersection), its successor map, its successor bitmask per world and its
-knowledge image {w : R(w) inside T} per target mask T, all derived on
-first use.  The caches are safe because a TopoModel is never changed after
-construction: its fields are frozen and nothing writes to its relations or
-valuation, so a derived value stays valid for the life of the model.
+intersection), its successor map, its successor bitmask per world, its
+knowledge image {w : R(w) inside T} per target mask T (``knows``) and its
+image R(S), the union of the successor masks of the worlds in S, per
+source mask S (``post``), all derived on first use.  Successor sets are
+grouped in one pass over a relation's pairs.  The caches are safe because
+a TopoModel is never changed after construction: its fields are frozen and
+nothing writes to its relations or valuation, so a derived value stays
+valid for the life of the model.
 """
 
 from __future__ import annotations
@@ -45,11 +49,21 @@ Worlds = frozenset[str]
 Relation = frozenset[tuple[str, str]]
 
 
+def _successor_sets(worlds: Iterable[str], relation: Relation) -> dict[str, Worlds]:
+    """Each world's successor set, in world order, grouped in one pass over
+    the pairs (a pair from outside ``worlds`` is ignored)."""
+    succ: dict[str, list[str]] = {w: [] for w in worlds}
+    for a, v in relation:
+        if a in succ:
+            succ[a].append(v)
+    return {w: frozenset(vs) for w, vs in succ.items()}
+
+
 def is_preorder(worlds: Iterable[str], relation: Relation) -> bool:
     ws = set(worlds)
     if any((w, w) not in relation for w in ws):
         return False
-    succ = {w: {v for (a, v) in relation if a == w} for w in ws}
+    succ = _successor_sets(ws, relation)
     return all(
         succ[v] <= succ[w] for w in ws for v in succ[w]
     )
@@ -62,7 +76,7 @@ class _Relation:
     ``masks`` holds the same sets as bitmasks, in world order.
     """
 
-    __slots__ = ("successors", "masks", "_images")
+    __slots__ = ("successors", "masks", "_images", "_posts")
 
     def __init__(self, successors: dict[str, Worlds], bits: Mapping[str, int]):
         self.successors = MappingProxyType(successors)
@@ -70,6 +84,7 @@ class _Relation:
             sum(bits[v] for v in succ) for succ in successors.values()
         )
         self._images: dict[int, int] = {}
+        self._posts: dict[int, int] = {}
 
     def knows(self, target: int) -> int:
         """Bitmask of the worlds w with R(w) inside ``target``, memoised."""
@@ -81,6 +96,18 @@ class _Relation:
                 if not succ & outside:
                     image |= 1 << i
             self._images[target] = image
+        return image
+
+    def post(self, source: int) -> int:
+        """Bitmask of R(``source``), the union of the successor masks of
+        the worlds in ``source``, memoised."""
+        image = self._posts.get(source)
+        if image is None:
+            image = 0
+            for i, succ in enumerate(self.masks):
+                if source >> i & 1:
+                    image |= succ
+            self._posts[source] = image
         return image
 
 
@@ -106,11 +133,7 @@ class TopoModel:
         for i, w in enumerate(self.worlds):
             self._bits[w] = 1 << i
         for agent in self.agents:
-            relation = self.relations[agent]
-            succ = {
-                w: frozenset(v for (a, v) in relation if a == w)
-                for w in self.worlds
-            }
+            succ = _successor_sets(self.worlds, self.relations[agent])
             self._successors[agent] = succ
             self._by_agent[agent] = _Relation(succ, self._bits)
             self._groups[frozenset([agent]), False] = self._by_agent[agent]
@@ -185,8 +208,8 @@ class TopoModel:
         return self._group(agents, mode).successors
 
 
-def eval_formula(model: TopoModel, formula: Formula) -> Worlds:
-    """The set of worlds where the formula holds (Kripke semantics)."""
+def eval_mask(model: TopoModel, formula: Formula) -> int:
+    """Bitmask of the worlds where the formula holds (Kripke semantics)."""
     full = (1 << len(model.worlds)) - 1
     masks = model._masks
 
@@ -219,7 +242,12 @@ def eval_formula(model: TopoModel, formula: Formula) -> Worlds:
             return model._group(node.agents, mode).knows(target)
         raise TypeError(f"not a formula node: {node!r}")
 
-    holds = go(formula)
+    return go(formula)
+
+
+def eval_formula(model: TopoModel, formula: Formula) -> Worlds:
+    """The set of worlds where the formula holds (Kripke semantics)."""
+    holds = eval_mask(model, formula)
     return frozenset(w for w in model.worlds if holds & model._bits[w])
 
 
@@ -248,7 +276,7 @@ def topology_of(worlds: Iterable[str], relation: Relation) -> Topology:
     ws = tuple(worlds)
     if not is_preorder(ws, relation):
         raise NotS4("relation is not reflexive-transitive")
-    succ = {w: frozenset(v for (a, v) in relation if a == w) for w in ws}
+    succ = _successor_sets(ws, relation)
     basis = sorted({succ[w] for w in ws}, key=sorted)
     opens = {frozenset()}
     for r in range(1, len(basis) + 1):

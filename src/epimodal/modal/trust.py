@@ -15,6 +15,13 @@ valuations of a single variable is kept as an oracle.  On S4 frames both
 sides are reflexive, which makes every trust relation hold: the Truth Axiom
 renders trust vacuous, and that vacuity is exactly what
 ``fundamental_truth_check`` verifies.
+
+Everything is decided on the world bitmasks of ``kripke``.  Trust tests
+``s & ~T.post(s)`` for each successor mask s of the truster.  The axiom
+schemata evaluate each pool formula to a mask once and decide every
+instance by combining those masks with the agent relation's memoised
+``knows``; the instance formula is built only to print a counterexample.
+A formula pool holds at most ``MAX_POOL`` formulas.
 """
 
 from __future__ import annotations
@@ -24,20 +31,26 @@ import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from ..errors import EmptyAgentSet, NegativeBound, TrustPreconditionFailed
+from ..errors import (
+    EmptyAgentSet,
+    NegativeBound,
+    PoolTooLarge,
+    TrustPreconditionFailed,
+)
 from .formulas import And, D, E, Formula, Iff, Implies, K, Not, Or, Var, to_text
-from .kripke import TopoModel, Worlds, eval_formula
+from .kripke import TopoModel, eval_mask
+from .kripke import eval_formula  # noqa: F401  (bench/tracer.py wraps this name)
+
+# Most formulas one pool may hold, whatever the limit asked for.  Over 3
+# variables and 4 agents, level 3 alone has about 7*10^8 formulas, so only
+# the pool size bounds memory; the whole depth-2 pool of that case (13 455
+# formulas) still fits.
+MAX_POOL = 20_000
 
 
 class TrustFlavor(enum.Enum):
     E = "E"
     D = "D"
-
-
-def _image(successors, subset: Worlds) -> Worlds:
-    if not subset:
-        return frozenset()
-    return frozenset().union(*(successors[w] for w in subset))
 
 
 def check_trust(
@@ -56,11 +69,9 @@ def check_trust(
     g_trusted = frozenset(trusted)
     if not g_truster or not g_trusted:
         raise EmptyAgentSet("trust needs nonempty agent sets")
-    s_map = model.group_successors(g_truster, "E")
-    t_map = model.group_successors(g_trusted, flavor.value)
-    return all(
-        s_map[w] <= _image(t_map, s_map[w]) for w in model.worlds
-    )
+    s = model._group(g_truster, "E")
+    t = model._group(g_trusted, flavor.value)
+    return not any(succ & ~t.post(succ) for succ in s.masks)
 
 
 def check_trust_brute_force(
@@ -99,12 +110,13 @@ def check_trustworthy(model: TopoModel, i: str, j: str) -> bool:
     K{i}K{j}p -> K{i}p for all p; otherwise TrustPreconditionFailed.
     Relational criterion: R_j(w) inside R_j(R_i(w)) at every world.
     """
-    r_i = model.group_successors(frozenset([i]), "E")
-    r_j = model.group_successors(frozenset([j]), "E")
-    trusts = all(r_i[w] <= _image(r_j, r_i[w]) for w in model.worlds)
-    if not trusts:
+    r_i = model._group(frozenset([i]), "E")
+    r_j = model._group(frozenset([j]), "E")
+    if any(succ & ~r_j.post(succ) for succ in r_i.masks):
         raise TrustPreconditionFailed(f"{i} does not trust {j}")
-    return all(r_j[w] <= _image(r_j, r_i[w]) for w in model.worlds)
+    return not any(
+        own & ~r_j.post(succ) for succ, own in zip(r_i.masks, r_j.masks)
+    )
 
 
 def check_trustworthy_brute_force(model: TopoModel, i: str, j: str) -> bool:
@@ -175,28 +187,37 @@ def enumerate_formulas(
     Breadth-first and deterministic, without repeats beyond those of the
     variables themselves.  The full space explodes beyond depth two, so
     ``limit`` caps the result (earlier, shallower formulas win); each level
-    is built lazily and only until the cap is reached.
+    is built lazily and only until the cap is reached.  A limit above
+    ``MAX_POOL`` raises PoolTooLarge before anything is built, and so does
+    an uncapped enumeration as soon as it passes ``MAX_POOL`` formulas.
     """
     if depth < 0:
         raise NegativeBound(f"depth must be at least 0, got {depth}")
     if limit is not None and limit < 0:
         raise NegativeBound(f"limit must be at least 0, got {limit}")
+    if limit is not None and limit > MAX_POOL:
+        raise PoolTooLarge(f"limit must be at most {MAX_POOL}, got {limit}")
+    cap = MAX_POOL + 1 if limit is None else limit
     current: list[Formula] = [Var(v) for v in variables]
     pool: list[Formula] = list(current)
     seen = set(pool)
     group = frozenset(agents)
     for _ in range(depth):
-        if not current or (limit is not None and len(pool) >= limit):
+        if not current or len(pool) >= cap:
             break
         fresh: list[Formula] = []
         for f in _next_level(current, agents, group):
             if f not in seen:
                 seen.add(f)
                 fresh.append(f)
-                if limit is not None and len(pool) + len(fresh) == limit:
+                if len(pool) + len(fresh) == cap:
                     break
         pool.extend(fresh)
         current = fresh
+    if limit is None and len(pool) > MAX_POOL:
+        raise PoolTooLarge(
+            f"more than {MAX_POOL} formulas up to depth {depth}; give a limit"
+        )
     return pool if limit is None else pool[:limit]
 
 
@@ -214,47 +235,71 @@ def check_axioms(
 
     Instances range over all agents and all formulas enumerated to ``depth``
     from ``variables`` (``limit`` caps the enumeration).  An instance is
-    valid when it holds at every world.
+    valid when it holds at every world; a counterexample names the
+    instance and the least world name where it fails.
+
+    Each pool formula is evaluated to a mask once, and an instance is
+    decided on masks: K is !k(!P | Q) | !k(P) | k(Q), T is !k(P) | P and
+    4 is !k(P) | k(k(P)), with k the agent relation's ``knows``.  The
+    first K instances pair the first formula with every other, so they
+    read the whole pool in order: evaluating it in order up front raises
+    the error the first instance to meet an unknown proposition would.
     """
-    universe = frozenset(model.worlds)
     pool = enumerate_formulas(variables, model.agents, depth, limit)
+    if not model.agents:  # no instances, so no formula is evaluated
+        pool = []
+    entries = [(f, eval_mask(model, f)) for f in pool]
+    relations = [(agent, model._by_agent[agent]) for agent in model.agents]
+    full = (1 << len(model.worlds)) - 1
 
-    def run(name, make_instances) -> SchemaReport:
+    def run(name, decided, instance) -> SchemaReport:
         bad = []
-        count = 0
-        for instance in make_instances():
+        failed = count = 0
+        for holds, agent, p, q in decided:
             count += 1
-            holds = eval_formula(model, instance)
-            if holds != universe:
-                witness = sorted(universe - holds)[0]
-                bad.append((to_text(instance), witness))
-        return SchemaReport(name, not bad, count, tuple(bad[:5]))
+            if holds != full:
+                failed += 1
+                if len(bad) < 5:
+                    witness = min(
+                        w for i, w in enumerate(model.worlds)
+                        if not holds >> i & 1
+                    )
+                    bad.append((to_text(instance(agent, p, q)), witness))
+        return SchemaReport(name, not failed, count, tuple(bad))
 
-    def k_instances():
+    def k_decided():
         pairs = itertools.islice(
-            itertools.product(pool, repeat=2), len(pool) * 4
+            itertools.product(entries, repeat=2), len(entries) * 4
         )
-        for p, q in pairs:
-            for agent in model.agents:
-                yield Implies(
-                    K(agent, Implies(p, q)),
-                    Implies(K(agent, p), K(agent, q)),
+        for (p, p_mask), (q, q_mask) in pairs:
+            for agent, r in relations:
+                holds = (
+                    (full ^ r.knows((full ^ p_mask) | q_mask))
+                    | (full ^ r.knows(p_mask))
+                    | r.knows(q_mask)
                 )
+                yield holds, agent, p, q
 
-    def t_instances():
-        for p in pool:
-            for agent in model.agents:
-                yield Implies(K(agent, p), p)
+    def t_decided():
+        for p, p_mask in entries:
+            for agent, r in relations:
+                yield (full ^ r.knows(p_mask)) | p_mask, agent, p, None
 
-    def four_instances():
-        for p in pool:
-            for agent in model.agents:
-                yield Implies(K(agent, p), K(agent, K(agent, p)))
+    def four_decided():
+        for p, p_mask in entries:
+            for agent, r in relations:
+                known = r.knows(p_mask)
+                yield (full ^ known) | r.knows(known), agent, p, None
 
     return AxiomReport(
-        distribution=run("K", k_instances),
-        truth=run("T", t_instances),
-        introspection=run("4", four_instances),
+        distribution=run(
+            "K", k_decided(),
+            lambda a, p, q: Implies(K(a, Implies(p, q)), Implies(K(a, p), K(a, q))),
+        ),
+        truth=run("T", t_decided(), lambda a, p, _: Implies(K(a, p), p)),
+        introspection=run(
+            "4", four_decided(), lambda a, p, _: Implies(K(a, p), K(a, K(a, p)))
+        ),
     )
 
 
@@ -303,13 +348,16 @@ def fundamental_truth_check(
                 )
 
     group = frozenset(agents)
-    d_map = model.group_successors(group, "D")
-    identity = all(d_map[w] == frozenset([w]) for w in model.worlds)
-    non_reflexive = next((w for w in model.worlds if w not in d_map[w]), None)
+    pooled = model._group(group, "D")
+    identity = all(succ == 1 << i for i, succ in enumerate(pooled.masks))
+    non_reflexive = next(
+        (w for i, w in enumerate(model.worlds) if not pooled.masks[i] >> i & 1),
+        None,
+    )
     distributed_truth = non_reflexive is None
     if not distributed_truth:
         failures.append(
-            f"D implies truth fails on {sorted(d_map[non_reflexive])}"
+            f"D implies truth fails on {sorted(pooled.successors[non_reflexive])}"
         )
 
     identity_equiv = None
@@ -322,9 +370,8 @@ def fundamental_truth_check(
                 model.worlds, model.agents, model.relations, {"p": frozenset()}
             )
         for f in enumerate_formulas(variables, agents, depth, limit):
-            lhs = eval_formula(probe, f)
-            rhs = eval_formula(probe, D(group, f))
-            if lhs != rhs:
+            holds = eval_mask(probe, f)
+            if holds != pooled.knows(holds):
                 identity_equiv = False
                 failures.append("identity equivalence fails")
                 break

@@ -1,11 +1,34 @@
-"""Seeded random generators and the reference evaluator shared by the
-modal test modules."""
+"""Seeded random generators and the reference evaluator, axiom check and
+trust checks shared by the modal test modules."""
 
+import itertools
 import random
 from functools import reduce
 
-from epimodal.errors import EmptyAgentSet, UnknownAgent, UnknownVariable
-from epimodal.modal import And, D, E, Iff, Implies, K, Not, Or, TopoModel, Var
+from epimodal.errors import (
+    EmptyAgentSet,
+    TrustPreconditionFailed,
+    UnknownAgent,
+    UnknownVariable,
+)
+from epimodal.modal import (
+    And,
+    AxiomReport,
+    D,
+    E,
+    Iff,
+    Implies,
+    K,
+    Not,
+    Or,
+    SchemaReport,
+    TopoModel,
+    TrustFlavor,
+    Var,
+    enumerate_formulas,
+    eval_formula,
+    to_text,
+)
 
 
 def transitive_reflexive_closure(worlds, pairs):
@@ -138,3 +161,66 @@ def eval_formula_reference(model: TopoModel, formula):
         return frozenset(w for w in model.worlds if succ[w] <= target)
 
     return go(formula)
+
+
+def check_axioms_reference(model: TopoModel, variables, depth=1, limit=200):
+    """Instance by instance: build every K, T and 4 instance as a formula
+    and evaluate it whole, re-evaluating its pool formulas each time.  The
+    check that ``check_axioms`` replaced, kept as the oracle for its masks
+    (same reports, same errors)."""
+    universe = frozenset(model.worlds)
+    pool = enumerate_formulas(variables, model.agents, depth, limit)
+
+    def run(name, instances) -> SchemaReport:
+        bad = []
+        count = 0
+        for instance in instances:
+            count += 1
+            holds = eval_formula(model, instance)
+            if holds != universe:
+                witness = sorted(universe - holds)[0]
+                bad.append((to_text(instance), witness))
+        return SchemaReport(name, not bad, count, tuple(bad[:5]))
+
+    pairs = itertools.islice(itertools.product(pool, repeat=2), len(pool) * 4)
+    return AxiomReport(
+        distribution=run("K", (
+            Implies(K(agent, Implies(p, q)), Implies(K(agent, p), K(agent, q)))
+            for p, q in pairs for agent in model.agents
+        )),
+        truth=run("T", (
+            Implies(K(agent, p), p) for p in pool for agent in model.agents
+        )),
+        introspection=run("4", (
+            Implies(K(agent, p), K(agent, K(agent, p)))
+            for p in pool for agent in model.agents
+        )),
+    )
+
+
+def _image(successors, subset):
+    if not subset:
+        return frozenset()
+    return frozenset().union(*(successors[w] for w in subset))
+
+
+def check_trust_reference(model: TopoModel, truster, trusted, flavor=TrustFlavor.D):
+    """S(w) inside T(S(w)) at every world, on frozenset images: the trust
+    check that ``check_trust`` replaced, kept as the oracle for its masks."""
+    g_truster = frozenset(truster)
+    g_trusted = frozenset(trusted)
+    if not g_truster or not g_trusted:
+        raise EmptyAgentSet("trust needs nonempty agent sets")
+    s_map = model.group_successors(g_truster, "E")
+    t_map = model.group_successors(g_trusted, flavor.value)
+    return all(s_map[w] <= _image(t_map, s_map[w]) for w in model.worlds)
+
+
+def check_trustworthy_reference(model: TopoModel, i, j):
+    """R_j(w) inside R_j(R_i(w)) at every world, once i trusts j, on
+    frozenset images: the oracle for ``check_trustworthy``."""
+    r_i = model.group_successors(frozenset([i]), "E")
+    r_j = model.group_successors(frozenset([j]), "E")
+    if not all(r_i[w] <= _image(r_j, r_i[w]) for w in model.worlds):
+        raise TrustPreconditionFailed(f"{i} does not trust {j}")
+    return all(r_j[w] <= _image(r_j, r_i[w]) for w in model.worlds)

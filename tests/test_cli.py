@@ -363,6 +363,9 @@ def write_topo(tmp_path):
     ("--depth", "-7", "argument --depth: must be at least 0, got -7"),
     ("--limit", "x", "argument --limit: invalid int value: 'x'"),
     ("--depth", "1.5", "argument --depth: invalid int value: '1.5'"),
+    ("--limit", "20001", "argument --limit: must be at most 20000, got 20001"),
+    ("--limit", "100000000",
+     "argument --limit: must be at most 20000, got 100000000"),
 ])
 def test_modal_axioms_rejects_out_of_range_bounds(tmp_path, capsys, option, value, message):
     # --limit -1 used to drop the last variable from the pool, and --limit 0
@@ -382,6 +385,48 @@ def test_modal_axioms_accepts_the_smallest_bounds(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     # a pool of one formula, p: 1 K instance (p -> p), 1 T and 1 4
     assert [out[s]["instances"] for s in ("K", "T", "4")] == [1, 1, 1]
+
+
+def test_modal_axioms_accepts_the_pool_budget(tmp_path, capsys):
+    topo = write_topo(tmp_path)
+    assert main(["modal", "axioms", topo, "--vars", "p,q", "--depth", "2",
+                 "--limit", "20000"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    # depth 2 over p, q and one agent (!, K, E and D are its unary
+    # connectives): 2 + 24 + 24 * 4 + 24 * 24 * 4 formulas, all of the pool
+    assert out["T"]["instances"] == 2426
+
+
+# Captured from the instance-by-instance check: the first unknown name in
+# --vars is reported, and a frame without agents has no instances, so its
+# unknown names are never evaluated.
+@pytest.mark.parametrize("variables,message", [
+    ("x", "unknown proposition 'x'"),
+    ("p,x", "unknown proposition 'x'"),
+    ("q,y,x", "unknown proposition 'y'"),
+])
+def test_modal_axioms_unknown_proposition_message(
+    tmp_path, capsys, variables, message
+):
+    argv = ["modal", "axioms", write_topo(tmp_path), "--vars", variables,
+            "--depth", "2"]
+    assert main(argv) == 2
+    assert_one_line_error(capsys, message)
+
+
+def test_modal_axioms_without_agents_ignores_unknown_propositions(tmp_path, capsys):
+    topo = tmp_path / "topo.json"
+    topo.write_text(json.dumps({
+        "worlds": ["u", "v"], "agents": [], "relations": {},
+        "valuation": {"p": ["u"]},
+    }))
+    assert main(["modal", "axioms", str(topo), "--vars", "p,x"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {
+        name: {"valid": True, "instances": 0, "counterexamples": []}
+        for name in ("K", "T", "4")
+    }
 
 
 def test_main_calls_share_no_state(tmp_path, capsys):

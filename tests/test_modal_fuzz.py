@@ -8,7 +8,8 @@ list, string, number or object for another type) and runs ``modal eval``,
 run must exit 0 or 2 without a traceback, and a frame whose JSON types
 break the documented topomodel shape must exit 2.  A second property
 mutates the ``--depth`` and ``--limit`` of ``modal axioms`` on valid
-frames: out of range or not an integer exits 2 with one ``error:`` line.
+frames: out of range (a limit past the pool budget included) or not an
+integer exits 2 with one ``error:`` line.
 """
 
 import contextlib
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from epimodal import jsonio
 from epimodal.cli import main
 from epimodal.modal import TopoModel
+from epimodal.modal.trust import MAX_POOL
 from json_mutations import drop_or_swap, object_of, strings
 from modal_random import random_preorder
 
@@ -107,16 +109,22 @@ def test_modal_survives_mutated_frames(obj, formula, truster, trusted, variables
 
 
 # Bounded: a large depth is capped by the limit (at most 100 by default),
-# and the enumeration stops as soon as the limit is met.
+# and the enumeration stops as soon as the limit is met.  A limit past the
+# pool budget, just above it or far above it, is rejected before any
+# formula is built.
 DEPTHS = ["-1", "-100", "0", "1", "2", "3", "1000000", "1.5", "x", "", "+1", " 2"]
-LIMITS = ["-1", "-5", "0", "1", "7", "100", "2.0", "x", "", "1e3", "-0"]
+LIMITS = [
+    "-1", "-5", "0", "1", "7", "100", "2.0", "x", "", "1e3", "-0",
+    str(MAX_POOL + 1), str(MAX_POOL + 7), "100000000", str(10**30),
+]
 
 
-def _in_range(text: str, low: int) -> bool:
+def _in_range(text: str, low: int, high: int | None = None) -> bool:
     try:
-        return int(text) >= low
+        value = int(text)
     except ValueError:
         return False
+    return value >= low and (high is None or value <= high)
 
 
 @settings(max_examples=120, deadline=None)
@@ -144,7 +152,7 @@ def test_modal_axioms_survives_mutated_bounds(obj, variables, depth, limit):
     assert code in {0, 2}, (argv, code)
     assert "Traceback" not in err.getvalue()
     valid = (depth is None or _in_range(depth, 0)) and (
-        limit is None or _in_range(limit, 1)
+        limit is None or _in_range(limit, 1, MAX_POOL)
     )
     assert code == (0 if valid else 2), (argv, code, err.getvalue())
     if code == 2:

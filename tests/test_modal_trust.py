@@ -4,12 +4,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import epimodal.modal.trust as trust
 from epimodal.errors import (
     EmptyAgentSet,
     ModalError,
     NegativeBound,
+    PoolTooLarge,
     TrustPreconditionFailed,
 )
 from epimodal.modal import (
@@ -22,8 +25,14 @@ from epimodal.modal import (
     check_trustworthy_brute_force,
     fundamental_truth_check,
 )
-from epimodal.modal.trust import enumerate_formulas
-from modal_random import random_raw_model, random_s4_model
+from epimodal.modal.trust import MAX_POOL, enumerate_formulas
+from modal_random import (
+    check_axioms_reference,
+    check_trust_reference,
+    check_trustworthy_reference,
+    random_raw_model,
+    random_s4_model,
+)
 
 
 def total(worlds):
@@ -361,3 +370,206 @@ def test_enumeration_rejects_negative_bounds(depth, limit, message):
         enumerate_formulas(["p", "q"], ["a"], depth, limit)
     assert isinstance(info.value, ModalError)
     assert str(info.value) == message
+
+
+def test_enumeration_rejects_a_limit_past_the_pool_budget(monkeypatch):
+    built = collections.Counter()
+    monkeypatch.setattr(trust, "Var", lambda *a: built.update(["Var"]))
+    for limit in (MAX_POOL + 1, 10**8, 10**18):
+        with pytest.raises(PoolTooLarge) as info:
+            enumerate_formulas(["p", "q", "r"], ["a", "b", "c", "d"], 3, limit)
+        assert isinstance(info.value, ModalError)
+        assert str(info.value) == f"limit must be at most {MAX_POOL}, got {limit}"
+    assert not built  # rejected before a single formula is built
+
+
+def test_uncapped_enumeration_stops_at_the_pool_budget():
+    # depth 2 is 13 455 formulas over 3 variables and 4 agents, inside the
+    # budget, and 34 596 over 4 variables, past it
+    assert len(enumerate_formulas(["p", "q", "r"], list("abcd"), 2)) == 13455
+    with pytest.raises(PoolTooLarge) as info:
+        enumerate_formulas(["p", "q", "r", "s"], list("abcd"), 2)
+    assert str(info.value) == (
+        f"more than {MAX_POOL} formulas up to depth 2; give a limit"
+    )
+    capped = enumerate_formulas(["p", "q", "r", "s"], list("abcd"), 2, MAX_POOL)
+    assert len(capped) == MAX_POOL
+
+
+# -- masks against the instance-by-instance and frozenset references ---------
+
+
+def outcome(fn, *args):
+    """The result of a call, or the type and message of its ModalError."""
+    try:
+        return fn(*args)
+    except ModalError as exc:
+        return type(exc), str(exc)
+
+
+VARIABLE_LISTS = [
+    ["p0"], ["p0", "p1"], ["p1", "p0"], ["p0", "p0"], [],
+    ["p0", "x"], ["x", "p1"], ["y", "x"],  # unknown: the first one is named
+]
+
+
+def frame(seed, n_worlds, n_agents, s4):
+    rng = random.Random(seed)
+    if s4:
+        return random_s4_model(rng, n_worlds, n_agents, n_vars=2)
+    # arbitrary relations of density 0.4: mostly neither reflexive nor
+    # transitive, so T and 4 fail
+    return random_raw_model(rng, n_worlds, n_agents, n_vars=2)
+
+
+def assert_axioms_agree(model, variables, depth, limit):
+    got = outcome(check_axioms, model, variables, depth, limit)
+    assert got == outcome(check_axioms_reference, model, variables, depth, limit)
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 3),
+    st.booleans(), st.sampled_from(VARIABLE_LISTS), st.integers(0, 2),
+    st.integers(1, 40),
+)
+def test_check_axioms_matches_the_reference(
+    seed, n_worlds, n_agents, s4, variables, depth, limit
+):
+    # the whole report: counts, validity, counterexample texts and witnesses
+    assert_axioms_agree(
+        frame(seed, n_worlds, n_agents, s4), variables, depth, limit
+    )
+
+
+def test_check_axioms_matches_the_reference_where_t_and_4_fail():
+    failed = collections.Counter()
+    for seed in range(40):
+        m = frame(seed, 1 + seed % 12, 1 + seed % 3, s4=seed % 5 == 0)
+        report = assert_axioms_agree(m, ["p0", "p1"], 2, 30)
+        for schema in (report.distribution, report.truth, report.introspection):
+            failed[schema.name] += not schema.valid
+    assert failed["K"] == 0  # K holds on every frame
+    assert 0 < failed["T"] < 40 and 0 < failed["4"] < 40
+
+
+def test_check_axioms_evaluates_each_pool_formula_once(monkeypatch):
+    calls = collections.Counter()
+    original = trust.eval_mask
+
+    def counting(model, formula):
+        calls[formula] += 1
+        return original(model, formula)
+
+    def whole_instance(model, formula):
+        raise AssertionError("an instance was evaluated as a formula")
+
+    monkeypatch.setattr(trust, "eval_mask", counting)
+    monkeypatch.setattr(trust, "eval_formula", whole_instance)
+    m = random_raw_model(random.Random(7), 9, 3, n_vars=2)
+    pool = enumerate_formulas(["p0", "p1"], m.agents, 2, 100)
+    report = check_axioms(m, ["p0", "p1"], depth=2, limit=100)
+    assert report.distribution.instances == 4 * len(pool) * 3
+    assert sum(calls.values()) <= len(pool)
+    assert set(calls) <= set(pool)
+
+
+def test_check_axioms_without_agents_evaluates_nothing(monkeypatch):
+    monkeypatch.setattr(trust, "eval_mask", None)  # a call would raise
+    m = TopoModel.make(["u", "v"], [], {}, {"p": ["u"]})
+    report = check_axioms(m, ["p", "x"], depth=2, limit=50)
+    assert report.all_valid
+    assert [s.instances for s in (report.distribution, report.truth,
+                                  report.introspection)] == [0, 0, 0]
+
+
+def test_counterexample_witness_is_the_least_world_name():
+    # only w2 and w10 lack their loop, so with p false everywhere K{a} p
+    # holds there and T fails there; "w10" sorts before "w2", while w2 has
+    # the lower bit
+    worlds = [f"w{i}" for i in range(12)]
+    relation = [(w, w) for w in worlds if w not in ("w2", "w10")]
+    m = TopoModel.make(worlds, ["a"], {"a": relation}, {"p": []},
+                       require_s4=False)
+    report = assert_axioms_agree(m, ["p"], 1, 10)
+    assert report.truth.counterexamples[0] == ("K{a} p -> p", "w10")
+    assert {w for _, w in report.truth.counterexamples} == {"w10"}
+
+
+def assert_trust_agrees(model, truster, trusted, flavor, brute):
+    got = check_trust(model, truster, trusted, flavor)
+    assert got == check_trust_reference(model, truster, trusted, flavor)
+    if brute:
+        assert got == check_trust_brute_force(model, truster, trusted, flavor)
+    outcomes = set()
+    for i, j in itertools.product(model.agents, repeat=2):
+        worthy = outcome(check_trustworthy, model, i, j)
+        assert worthy == outcome(check_trustworthy_reference, model, i, j)
+        if brute and isinstance(worthy, bool):
+            assert worthy == check_trustworthy_brute_force(model, i, j)
+        outcomes.add(worthy if isinstance(worthy, bool) else worthy[0])
+    return got, outcomes
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 3),
+    st.booleans(), st.sampled_from(list(TrustFlavor)), st.data(),
+)
+def test_trust_matches_the_reference_and_brute_force(
+    seed, n_worlds, n_agents, s4, flavor, data
+):
+    m = frame(seed, n_worlds, n_agents, s4)
+    groups = st.sets(st.sampled_from(m.agents), min_size=1)
+    assert_trust_agrees(
+        m, data.draw(groups), data.draw(groups), flavor, brute=n_worlds <= 8
+    )
+
+
+def test_trust_matches_the_references_on_every_outcome():
+    trusts, worthy = set(), set()
+    for seed in range(60):
+        m = frame(seed, 1 + seed % 12, 2 + seed % 2, s4=seed % 5 == 0)
+        for flavor in TrustFlavor:
+            got, outcomes = assert_trust_agrees(
+                m, m.agents[:1], m.agents[1:], flavor, brute=len(m.worlds) <= 8
+            )
+            trusts.add(got)
+            worthy |= outcomes
+    assert trusts == {True, False}
+    assert worthy == {True, False, TrustPreconditionFailed}
+
+
+def test_fundamental_truth_checks_every_pair_through_check_trust(monkeypatch):
+    calls = []
+    original = trust.check_trust
+
+    def counting(model, truster, trusted, flavor):
+        calls.append((truster, trusted, flavor))
+        return original(model, truster, trusted, flavor)
+
+    monkeypatch.setattr(trust, "check_trust", counting)
+    m = random_s4_model(random.Random(3), 6, 3)
+    report = fundamental_truth_check(m)
+    assert report.pairs_checked == len(calls) == 2 * 7 * 7
+    assert len(set(calls)) == len(calls)
+
+
+def test_trust_matches_the_reference_with_warm_caches():
+    # frames of 9-16 worlds, so successor masks cross a byte; every pair of
+    # groups is checked forward and then in reverse, so the second pass
+    # reads the images the first one cached
+    rng = random.Random(17)
+    for n_worlds in range(9, 17):
+        m = random_raw_model(rng, n_worlds, 3)
+        subsets = [
+            frozenset(c)
+            for r in range(1, 4)
+            for c in itertools.combinations(m.agents, r)
+        ]
+        cases = list(itertools.product(subsets, subsets, TrustFlavor))
+        for g1, g2, flavor in cases + cases[::-1]:
+            assert check_trust(m, g1, g2, flavor) == (
+                check_trust_reference(m, g1, g2, flavor)
+            )
