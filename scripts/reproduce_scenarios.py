@@ -7,6 +7,7 @@ fraction and decomposition where defined, the epistemic translation, and
 the forced-inference chain around the cycle when one exists.
 """
 
+import math
 from fractions import Fraction
 
 from epimodal import (
@@ -67,8 +68,9 @@ def show(model, name):
         distributed = soundness_violations(
             scenario, model, WorldBasis.DISTRIBUTED
         )
+        mutual_worlds = math.prod(len(o) for o in scenario.outcomes)
         print(
-            f"  worlds: {len(scenario.mutual_worlds)} mutual, "
+            f"  worlds: {mutual_worlds} mutual, "
             f"{len(scenario.distributed_worlds)} distributed"
         )
         print(

@@ -21,6 +21,7 @@ Field names are part of the on-disk contract:
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -241,7 +242,9 @@ def translation_to_obj(scenario: MultiAgentScenario) -> dict:
         "trust_pairs": sorted(
             [sorted(a), sorted(b)] for a, b in scenario.trust_pairs
         ),
-        "mutual_worlds": [g.key() for g in scenario.mutual_worlds],
+        "mutual_worlds": list(
+            map(",".join, itertools.product(*scenario.outcomes))
+        ),
         "distributed_worlds": [
             [_context_key(ctx), section.key()]
             for ctx, section in scenario.distributed_worlds

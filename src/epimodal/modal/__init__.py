@@ -13,7 +13,6 @@ from .formulas import (
     Var,
     diamond,
     parse,
-    subformulas,
     to_text,
 )
 from .kripke import (
@@ -47,7 +46,7 @@ from .trust import (
 
 __all__ = [
     "And", "D", "E", "Formula", "Iff", "Implies", "K", "Not", "Or", "Var",
-    "diamond", "parse", "subformulas", "to_text",
+    "diamond", "parse", "to_text",
     "TopoModel", "Topology", "eval_formula", "eval_topological",
     "is_preorder", "relation_of", "topology_of",
     "MultiAgentScenario", "WorldBasis", "soundness_violations", "translate",

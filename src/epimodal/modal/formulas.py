@@ -24,7 +24,14 @@ from ..errors import EmptyAgentSet, FormulaSyntaxError
 
 
 class Formula:
-    """Base class for AST nodes; subclasses are frozen dataclasses."""
+    """Base class for AST nodes; subclasses are frozen dataclasses.
+
+    The generated dataclass hash covers the fields only, so nodes of two
+    classes with the same field types would share it: And(p, q), Or(p, q),
+    Implies(p, q) and Iff(p, q), and E and D over one group and operand.
+    Those classes hash their class with their fields, so that a set of
+    enumerated formulas does not compare long chains of colliding nodes.
+    """
 
     __slots__ = ()
 
@@ -44,11 +51,17 @@ class And(Formula):
     left: Formula
     right: Formula
 
+    def __hash__(self):
+        return hash((And, self.left, self.right))
+
 
 @dataclass(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
+
+    def __hash__(self):
+        return hash((Or, self.left, self.right))
 
 
 @dataclass(frozen=True)
@@ -56,11 +69,17 @@ class Implies(Formula):
     left: Formula
     right: Formula
 
+    def __hash__(self):
+        return hash((Implies, self.left, self.right))
+
 
 @dataclass(frozen=True)
 class Iff(Formula):
     left: Formula
     right: Formula
+
+    def __hash__(self):
+        return hash((Iff, self.left, self.right))
 
 
 @dataclass(frozen=True)
@@ -74,6 +93,9 @@ class E(Formula):
     agents: frozenset[str]
     operand: Formula
 
+    def __hash__(self):
+        return hash((E, self.agents, self.operand))
+
     def __post_init__(self):
         if not self.agents:
             raise EmptyAgentSet("E needs at least one agent")
@@ -83,6 +105,9 @@ class E(Formula):
 class D(Formula):
     agents: frozenset[str]
     operand: Formula
+
+    def __hash__(self):
+        return hash((D, self.agents, self.operand))
 
     def __post_init__(self):
         if not self.agents:
@@ -287,13 +312,3 @@ def to_text(formula: Formula) -> str:
         return f"({text})" if own < level else text
 
     return go(formula, 0)
-
-
-def subformulas(formula: Formula):
-    """Yield every node of the AST (preorder)."""
-    yield formula
-    if isinstance(formula, (Not, K, E, D)):
-        yield from subformulas(formula.operand)
-    elif isinstance(formula, (And, Or, Implies, Iff)):
-        yield from subformulas(formula.left)
-        yield from subformulas(formula.right)

@@ -12,15 +12,24 @@ demand, and translating enumerates no global assignment.
 With mutual-knowledge worlds, a supported local event can fail to be
 entailed by any world consistent with the model: those events are exactly
 the non-extendable sections, i.e. the soundness violations that make the
-scenario paradoxical.  With distributed-knowledge worlds every supported
-local event is itself a world, so no violation survives; the price is that
-worlds now carry their context (lambda-dependence).
+scenario paradoxical.  They are decided on the mutual frame as int
+bitmasks, world w being the w-th tuple of ``itertools.product(*outcomes)``
+(bit ``1 << w``): agent m's accessibility classes are the propositions
+p_{m,o}, "m sees o"; a section s is the proposition phi_s, the conjunction
+of p_{m,s(m)} over its measurements; the consistent worlds satisfy, in
+every context, the phi_s of some supported s; and a supported s is a
+violation iff no consistent world satisfies phi_s.
+
+With distributed-knowledge worlds every supported local event is itself a
+world, so no violation survives; the price is that worlds now carry their
+context (lambda-dependence).
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 
 from .. import scenario as sc
@@ -45,7 +54,11 @@ class MultiAgentScenario:
 
     @property
     def mutual_worlds(self) -> tuple[GlobalSection, ...]:
-        """Every global outcome assignment, lexicographically."""
+        """Every global outcome assignment, lexicographically.
+
+        Built as ``Section``s on each access; soundness and the JSON keys
+        work from ``outcomes`` instead and never list them.
+        """
         return tuple(
             Section(self.agents, values)
             for values in itertools.product(*self.outcomes)
@@ -94,6 +107,30 @@ def translate(model: EmpiricalModel) -> MultiAgentScenario:
     )
 
 
+def _outcome_masks(
+    outcomes: tuple[tuple[str, ...], ...],
+) -> list[dict[str, int]]:
+    """Each agent's accessibility classes on the mutual worlds, as bitmasks.
+
+    ``masks[i][o]`` holds the worlds where agent i sees o.  Agent i's k-th
+    outcome is a periodic pattern: a block of ``stride`` ones, stride being
+    the product of the later agents' outcome counts, at offset k * stride in
+    each period of ``len(outcomes[i]) * stride`` worlds.  Repeating a
+    pattern over every period is multiplying it by the geometric sum
+    (2^worlds - 1) / (2^period - 1).
+    """
+    period = math.prod(map(len, outcomes))  # agent 0's period: all worlds
+    every = (1 << period) - 1
+    masks = []
+    for values in outcomes:
+        stride = period // len(values)
+        repeat = every // ((1 << period) - 1)
+        first = ((1 << stride) - 1) * repeat
+        masks.append({o: first << k * stride for k, o in enumerate(values)})
+        period = stride
+    return masks
+
+
 def soundness_violations(
     scenario: MultiAgentScenario,
     model: EmpiricalModel,
@@ -103,8 +140,10 @@ def soundness_violations(
 
     MUTUAL: a world is consistent when each of its context restrictions is
     supported; a supported event with no consistent world above it is a
-    violation.  DISTRIBUTED: each supported event is itself a world, so the
-    computation returns an empty list for every non-disturbing model.
+    violation.  Both are decided on bitmasks over the mutual worlds (see
+    the module docstring), which are never listed.  DISTRIBUTED: each
+    supported event is itself a world, so the computation returns an empty
+    list for every non-disturbing model.
     """
     if scenario != translate(model):
         raise Mismatch("scenario was not derived from this model")
@@ -113,23 +152,25 @@ def soundness_violations(
     }
     violations = []
     if worlds is WorldBasis.MUTUAL:
-        supported = [
-            (
-                ctx,
-                sc.projection(model.scenario.measurements, ctx),
-                {sec.values for sec in supports[ctx]},
-            )
-            for ctx in model.scenario.maximal_contexts
-        ]
-        consistent = [
-            world
-            for world in itertools.product(*scenario.outcomes)
-            if all(project(world) in values for _, project, values in supported)
-        ]
-        for ctx, project, _ in supported:
-            image = set(map(project, consistent))
+        contexts = model.scenario.maximal_contexts
+        masks = _outcome_masks(scenario.outcomes)
+        position = {m: i for i, m in enumerate(scenario.agents)}
+
+        def phi(ctx, section):
+            mask = -1  # every world
+            for m, o in zip(ctx, section.values):
+                mask &= masks[position[m]][o]
+            return mask
+
+        consistent = -1
+        for ctx in contexts:
+            union = 0
+            for section in supports[ctx]:
+                union |= phi(ctx, section)
+            consistent &= union
+        for ctx in contexts:
             for section in sorted(supports[ctx], key=lambda s: s.values):
-                if section.values not in image:
+                if not consistent & phi(ctx, section):
                     violations.append((ctx, section))
     else:
         available = set(scenario.distributed_worlds)

@@ -8,9 +8,11 @@ import epimodal.cli
 import epimodal.contextuality
 import epimodal.ratlp
 import epimodal.scenario
-from epimodal import Semiring, possibilistic_collapse
+from epimodal import Semiring, new_model, new_scenario, possibilistic_collapse
 from epimodal.cli import analysis_report, cycle_order, main
 from epimodal.dot import bundle_dot
+from epimodal.jsonio import model_to_json
+from epimodal.modal import MultiAgentScenario, translate
 from model_random import noisy_cycle_model
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -261,6 +263,54 @@ def test_analyze_runs_each_stage_once(fr_model, monkeypatch):
         "global_section_space": 1,
         "collapse_rational": 2,
     }
+
+
+def hardy_cycle(n):
+    """Boolean n-cycle where M_i = 1 forces M_{i+1} = 1 along the cycle,
+    yet M_0 = M_{n-1} = 1 is unsupported: logically contextual."""
+    meas = [f"M{i}" for i in range(n)]
+    scen = new_scenario(
+        meas, [{meas[i - 1], meas[i]} for i in range(n)],
+        {m: ["0", "1"] for m in meas},
+    )
+    return new_model(scen, Semiring.BOOLEAN, {
+        ctx: dict.fromkeys(
+            ["0,0", "0,1", "1,0"] if ctx == ("M0", meas[-1])
+            else ["0,0", "0,1", "1,1"],
+            1,
+        )
+        for ctx in scen.maximal_contexts
+    })
+
+
+def test_analyze_and_translate_build_no_mutual_world(
+    tmp_path, capsys, monkeypatch
+):
+    # the mutual worlds are decided on bitmasks and keyed from outcome
+    # tuples: neither command builds a Section per world
+    model = hardy_cycle(12)
+    path = tmp_path / "cycle.json"
+    path.write_text(model_to_json(model))
+    report = analysis_report(model)
+    assert report["translation"]["mutual_worlds"] == [
+        g.key() for g in translate(model).mutual_worlds
+    ]
+    # M0 = 1 forces M11 = 1, which the closing context excludes
+    assert report["soundness"]["mutual"] == [
+        ["M0,M1", "1,1"], ["M0,M11", "1,0"]
+    ]
+    assert main(["translate", str(path)]) == 0
+    translated = capsys.readouterr().out
+
+    def unreachable(self):
+        raise AssertionError("a mutual world was built as a Section")
+
+    monkeypatch.setattr(
+        MultiAgentScenario, "mutual_worlds", property(unreachable)
+    )
+    assert analysis_report(model) == report
+    assert main(["translate", str(path)]) == 0
+    assert capsys.readouterr().out == translated
 
 
 def test_analyze_pretty(tmp_path, capsys):

@@ -2,12 +2,15 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import epimodal.contextuality
 import epimodal.scenario
 from epimodal import (
     Semiring,
     build_wigner_model,
+    check_no_disturbance,
     classify,
     is_connected,
     new_model,
@@ -16,7 +19,9 @@ from epimodal import (
     support,
 )
 from epimodal.errors import Disconnected, DisturbingModel, Mismatch
+from epimodal.jsonio import translation_to_obj
 from epimodal.modal import WorldBasis, soundness_violations, translate
+from epimodal.modal.translate import _outcome_masks
 from epimodal.scenario import Section
 from model_random import random_boolean_models
 
@@ -228,3 +233,104 @@ def test_distributed_worlds_follow_collapse(fr_model):
         for sec in support(shadow, ctx)
     }
     assert set(t.distributed_worlds) == expected
+
+
+def _close_supports(contexts, supports):
+    """Drop every section whose values on an overlap no other context's
+    support shows, until none is dropped: the largest non-disturbing
+    Boolean family inside the given supports (possibly empty)."""
+    changed = True
+    while changed:
+        changed = False
+        for ctx, other in itertools.permutations(contexts, 2):
+            shared = [m for m in ctx if m in other]
+            if not shared:
+                continue
+            seen = {
+                tuple(values[other.index(m)] for m in shared)
+                for values in supports[other]
+            }
+            kept = {
+                values for values in supports[ctx]
+                if tuple(values[ctx.index(m)] for m in shared) in seen
+            }
+            if kept != supports[ctx]:
+                supports[ctx] = kept
+                changed = True
+    return supports
+
+
+@st.composite
+def connected_boolean_models(draw):
+    """Connected scenarios of 1-5 measurements with 2-4 outcomes each, in
+    any label order, and non-disturbing Boolean supports on them.  Each
+    context keeps every cell, or the cells of one parity of their outcome
+    positions' sum (an odd cycle of those admits no global assignment),
+    less up to two cells; the family is closed under no-disturbance,
+    and replaced by the images of random global assignments when the
+    closure is empty."""
+    n = draw(st.integers(1, 5))
+    meas = ["A", "B", "C", "D", "E"][:n]
+    outcomes = {
+        m: draw(st.lists(st.sampled_from("abcz"), min_size=2, max_size=4,
+                         unique=True))
+        for m in meas
+    }
+    if n >= 3 and draw(st.booleans()):  # a cycle, where contextuality lives
+        edges = [{meas[i - 1], meas[i]} for i in range(n)]
+    else:  # a random tree
+        edges = [{meas[i], meas[draw(st.integers(0, i - 1))]}
+                 for i in range(1, n)]
+    extra = draw(st.lists(st.sets(st.sampled_from(meas), min_size=1,
+                                  max_size=3), max_size=3))
+    candidates = edges + extra or [{meas[0]}]
+    contexts = [c for c in candidates if not any(c < d for d in candidates)]
+    scen = new_scenario(meas, contexts, outcomes)
+    spaces = {
+        ctx: list(itertools.product(*(outcomes[m] for m in ctx)))
+        for ctx in scen.maximal_contexts
+    }
+    index = {m: {o: k for k, o in enumerate(outcomes[m])} for m in meas}
+    supports = {}
+    for ctx, space in spaces.items():
+        parity = draw(st.sampled_from([None, 0, 1]))
+        supports[ctx] = {
+            values for values in space
+            if parity is None
+            or sum(index[m][o] for m, o in zip(ctx, values)) % 2 == parity
+        } - draw(st.sets(st.sampled_from(space), max_size=2))
+    supports = _close_supports(scen.maximal_contexts, supports)
+    if not all(supports.values()):
+        worlds = draw(st.lists(
+            st.tuples(*(st.sampled_from(outcomes[m]) for m in meas)),
+            min_size=1, max_size=6,
+        ))
+        supports = {
+            ctx: {tuple(w[meas.index(m)] for m in ctx) for w in worlds}
+            for ctx in scen.maximal_contexts
+        }
+    return new_model(scen, Semiring.BOOLEAN, {
+        ctx: {",".join(values): 1 for values in supports[ctx]}
+        for ctx in scen.maximal_contexts
+    })
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_boolean_models())
+def test_mutual_masks_beyond_binary_outcomes(model):
+    assert is_connected(model.scenario)
+    assert check_no_disturbance(model).holds
+    t = translate(model)
+    worlds = list(itertools.product(*t.outcomes))
+    for i, by_outcome in enumerate(_outcome_masks(t.outcomes)):
+        assert list(by_outcome) == list(t.outcomes[i])
+        for o, mask in by_outcome.items():
+            assert mask == sum(
+                1 << w for w, values in enumerate(worlds) if values[i] == o
+            )
+    mutual = soundness_violations(t, model, WorldBasis.MUTUAL)
+    assert mutual == mutual_violations_brute_force(model)
+    assert set(map(tuple, mutual)) == set(classify(model).non_extendable)
+    assert translation_to_obj(t)["mutual_worlds"] == [
+        g.key() for g in t.mutual_worlds
+    ]

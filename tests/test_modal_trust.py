@@ -285,6 +285,25 @@ def test_enumerate_formulas_bounded():
     assert len(set(pool)) == 25
 
 
+@pytest.mark.parametrize("agents", [[], ["a", "b"]])
+def test_enumeration_compares_only_repeats(agents, monkeypatch):
+    # the node class is part of the hash, so And(p, q) and Or(p, q), or E
+    # and D over one group, do not collide, and the set of seen formulas
+    # compares little beyond true repeats; with a fields-only hash this
+    # enumeration made millions of comparisons
+    calls = [0]
+    for node in (trust.Var, trust.Not, trust.And, trust.Or, trust.Implies,
+                 trust.Iff, trust.K, trust.E, trust.D):
+        def counting(self, other, eq=node.__eq__):
+            calls[0] += 1
+            return eq(self, other)
+
+        monkeypatch.setattr(node, "__eq__", counting)
+    pool = enumerate_formulas(["p"], agents, 3, MAX_POOL)
+    assert len(pool) == MAX_POOL
+    assert calls[0] <= 2 * len(pool)
+
+
 def enumerate_formulas_eager(variables, agents, depth, limit=None):
     """The reference enumeration: each BFS level is built whole, then
     deduplicated against everything before it, and only then cut.  It
