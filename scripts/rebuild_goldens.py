@@ -1,16 +1,24 @@
 #!/usr/bin/env python3
-"""Regenerate the golden files under tests/golden/ from the CLI.
+"""Regenerate the golden files under tests/golden/ from the CLI and from
+the stdout of the walk-through script ``reproduce_scenarios.py``.
 
 Run after any intentional change to builders, analysis or serialization;
-the golden tests compare byte for byte.
+the golden tests compare byte for byte.  The golden directory is found
+from this file's path:
+
+    PYTHONPATH=src python3 scripts/rebuild_goldens.py
 """
 
+import contextlib
+import io
 import pathlib
+import runpy
 import sys
 
 from epimodal.cli import main
 
-GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden"
+SCRIPTS = pathlib.Path(__file__).resolve().parent
+GOLDEN = SCRIPTS.parent / "tests" / "golden"
 
 MODELS = {
     "fr": "fr_model.json",
@@ -47,7 +55,12 @@ def run():
             "--out", str(GOLDEN / filename),
         ])
         assert code == 0, (name, code)
-    print(f"rewrote {len(MODELS) + len(REPORTS) + len(BUNDLES)} files in {GOLDEN}")
+    walk_through = io.StringIO()
+    with contextlib.redirect_stdout(walk_through):
+        runpy.run_path(str(SCRIPTS / "reproduce_scenarios.py"), run_name="__main__")
+    (GOLDEN / "reproduce_scenarios.txt").write_text(walk_through.getvalue())
+    count = len(MODELS) + len(REPORTS) + len(BUNDLES) + 1
+    print(f"rewrote {count} files in {GOLDEN}")
 
 
 if __name__ == "__main__":

@@ -16,21 +16,23 @@ recomputes formulas through the open-set lattice as an independent route.
 
 Evaluation works on bitsets: world i is bit ``1 << i``, a set of worlds
 is an int, and the connectives are ``&``, ``|`` and ``^``.  ``eval_mask``
-returns the int, and ``eval_formula`` the worlds whose bits are set.  Each
-model caches, per relation (an agent's, or a group's union or
-intersection), its successor map, its successor bitmask per world, its
-knowledge image {w : R(w) inside T} per target mask T (``knows``) and its
-image R(S), the union of the successor masks of the worlds in S, per
-source mask S (``post``), all derived on first use.  Successor sets are
-grouped in one pass over a relation's pairs.  The caches are safe because
-a TopoModel is never changed after construction: its fields are frozen and
-nothing writes to its relations or valuation, so a derived value stays
-valid for the life of the model.
+returns the int, and ``eval_formula`` the worlds whose bits are set.  A
+relation is stored only as each world's successor bitmask: an agent's are
+ORed in one pass over its pairs, a group's are the ``|`` or ``&`` of its
+members' on first use.  Each relation memoises its knowledge image
+{w : R(w) inside T} per target mask T (``knows``) and its image R(S) per
+source mask S (``post``).  The oracles (``eval_topological`` and the
+brute-force trust checks) share none of this: they read the successor map
+that ``group_successors`` builds from the pairs of ``relations``.  The
+caches are safe because a TopoModel is never changed after construction:
+its fields are frozen and nothing writes to its relations or valuation, so
+a derived value stays valid for the life of the model.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import reduce
@@ -69,20 +71,31 @@ def is_preorder(worlds: Iterable[str], relation: Relation) -> bool:
     )
 
 
+def _group_key(agents: Iterable[str], mode: str) -> tuple[frozenset[str], bool]:
+    """The group, and whether its relation is a union (R_E of two or more
+    agents) rather than an intersection; for one agent both are its own."""
+    group = frozenset(agents)
+    if not group:
+        raise EmptyAgentSet("knowledge of the empty agent set")
+    return group, mode == "E" and len(group) > 1
+
+
+def _member(table: Mapping, agent: str):
+    """``table[agent]``, or UnknownAgent for an agent it lacks."""
+    try:
+        return table[agent]
+    except KeyError:
+        raise UnknownAgent(agent) from None
+
+
 class _Relation:
-    """One accessibility relation of a model, as sets and as bitmasks.
+    """One accessibility relation of a model: the successor bitmask of each
+    world, in world order."""
 
-    ``successors`` maps each world to its successor set (read-only);
-    ``masks`` holds the same sets as bitmasks, in world order.
-    """
+    __slots__ = ("masks", "_images", "_posts")
 
-    __slots__ = ("successors", "masks", "_images", "_posts")
-
-    def __init__(self, successors: dict[str, Worlds], bits: Mapping[str, int]):
-        self.successors = MappingProxyType(successors)
-        self.masks = tuple(
-            sum(bits[v] for v in succ) for succ in successors.values()
-        )
+    def __init__(self, masks: Iterable[int]):
+        self.masks = tuple(masks)
         self._images: dict[int, int] = {}
         self._posts: dict[int, int] = {}
 
@@ -123,22 +136,21 @@ class TopoModel:
     agents: tuple[str, ...]
     relations: Mapping[str, Relation]
     valuation: Mapping[str, Worlds]
-    _successors: dict = field(repr=False, default_factory=dict)
-    _bits: dict = field(repr=False, default_factory=dict)
     _masks: dict = field(repr=False, default_factory=dict)
     _groups: dict = field(repr=False, default_factory=dict)
     _by_agent: dict = field(repr=False, default_factory=dict)
+    _successor_maps: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
-        for i, w in enumerate(self.worlds):
-            self._bits[w] = 1 << i
+        index = {w: i for i, w in enumerate(self.worlds)}
         for agent in self.agents:
-            succ = _successor_sets(self.worlds, self.relations[agent])
-            self._successors[agent] = succ
-            self._by_agent[agent] = _Relation(succ, self._bits)
+            masks = [0] * len(index)
+            for a, v in self.relations[agent]:
+                masks[index[a]] |= 1 << index[v]
+            self._by_agent[agent] = _Relation(masks)
             self._groups[frozenset([agent]), False] = self._by_agent[agent]
         for p, where in self.valuation.items():
-            self._masks[p] = sum(self._bits[w] for w in where)
+            self._masks[p] = sum(1 << index[w] for w in where)
 
     @classmethod
     def make(
@@ -155,6 +167,11 @@ class TopoModel:
         ags = tuple(agents)
         if len(set(ws)) != len(ws) or not ws:
             raise NotS4("worlds must be nonempty and distinct")
+        if len(set(ags)) != len(ags):
+            raise NotS4("agents must be distinct")
+        undeclared = sorted(set(relations) - set(ags))
+        if undeclared:
+            raise UnknownAgent(undeclared[0])
         rel = {}
         for agent in ags:
             if agent not in relations:
@@ -175,37 +192,31 @@ class TopoModel:
                 raise UnknownVariable(f"valuation of {p} mentions unknown world")
         return cls(ws, ags, rel, val)
 
-    def successors(self, agent: str, world: str) -> Worlds:
-        if agent not in self._successors:
-            raise UnknownAgent(agent)
-        return self._successors[agent][world]
-
     def _group(self, agents: Iterable[str], mode: str) -> _Relation:
-        """R_E (union, mode 'E') or R_D (intersection, 'D') of a group,
-        built on first use; for one agent both are its own relation."""
-        group = frozenset(agents)
-        if not group:
-            raise EmptyAgentSet("knowledge of the empty agent set")
-        union = mode == "E" and len(group) > 1
-        relation = self._groups.get((group, union))
+        """R_E (union, mode 'E') or R_D (intersection, 'D') of a group, as
+        the ``|`` or ``&`` of its members' masks, built on first use."""
+        group, union = key = _group_key(agents, mode)
+        relation = self._groups.get(key)
         if relation is None:
-            maps = []
-            for agent in sorted(group):
-                if agent not in self._successors:
-                    raise UnknownAgent(agent)
-                maps.append(self._successors[agent])
-            op = frozenset.union if union else frozenset.intersection
-            relation = _Relation(
-                {w: reduce(op, (m[w] for m in maps)) for w in self.worlds},
-                self._bits,
-            )
-            self._groups[group, union] = relation
+            members = [_member(self._by_agent, a).masks for a in sorted(group)]
+            op = operator.or_ if union else operator.and_
+            relation = _Relation(reduce(op, masks) for masks in zip(*members))
+            self._groups[key] = relation
         return relation
 
     def group_successors(self, agents: frozenset[str], mode: str):
         """Successor map of R_E (union, mode 'E') or R_D (intersection, 'D'),
-        read-only and shared by every call with the same group and mode."""
-        return self._group(agents, mode).successors
+        built from the pairs of ``relations`` on first use, never from the
+        bitmasks; read-only and shared by every call with the same group
+        and mode."""
+        group, union = key = _group_key(agents, mode)
+        succ = self._successor_maps.get(key)
+        if succ is None:
+            pairs = [_member(self.relations, a) for a in sorted(group)]
+            op = frozenset.union if union else frozenset.intersection
+            succ = MappingProxyType(_successor_sets(self.worlds, reduce(op, pairs)))
+            self._successor_maps[key] = succ
+        return succ
 
 
 def eval_mask(model: TopoModel, formula: Formula) -> int:
@@ -248,7 +259,7 @@ def eval_mask(model: TopoModel, formula: Formula) -> int:
 def eval_formula(model: TopoModel, formula: Formula) -> Worlds:
     """The set of worlds where the formula holds (Kripke semantics)."""
     holds = eval_mask(model, formula)
-    return frozenset(w for w in model.worlds if holds & model._bits[w])
+    return frozenset(w for i, w in enumerate(model.worlds) if holds >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -320,12 +331,12 @@ def eval_topological(model: TopoModel, formula: Formula) -> Worlds:
     transitive and induces no topology of its own.
     """
     universe = frozenset(model.worlds)
-    cache: dict[tuple, Topology] = {}
+    cache: dict[tuple[str, ...], Topology] = {}
 
-    def topo_for(agents: frozenset[str], mode: str) -> Topology:
-        key = (mode, tuple(sorted(agents)))
+    def topo_for(agents: frozenset[str]) -> Topology:
+        key = tuple(sorted(agents))
         if key not in cache:
-            succ = model.group_successors(agents, mode)
+            succ = model.group_successors(agents, "D")
             relation = frozenset(
                 (w, v) for w in model.worlds for v in succ[w]
             )
@@ -350,20 +361,18 @@ def eval_topological(model: TopoModel, formula: Formula) -> Worlds:
             left, right = go(node.left), go(node.right)
             return universe - (left ^ right)
         if isinstance(node, K):
-            if node.agent not in model._successors:
-                raise UnknownAgent(node.agent)
-            return topo_for(frozenset([node.agent]), "D").interior(
+            return topo_for(frozenset([node.agent])).interior(
                 go(node.operand)
             )
         if isinstance(node, E):
             target = go(node.operand)
             parts = [
-                topo_for(frozenset([agent]), "D").interior(target)
+                topo_for(frozenset([agent])).interior(target)
                 for agent in sorted(node.agents)
             ]
             return frozenset.intersection(*parts)
         if isinstance(node, D):
-            return topo_for(node.agents, "D").interior(go(node.operand))
+            return topo_for(node.agents).interior(go(node.operand))
         raise TypeError(f"not a formula node: {node!r}")
 
     return go(formula)

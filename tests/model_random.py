@@ -7,14 +7,22 @@ image of a random set of global assignments (always extendable), and
 fully random supports filtered by the no-disturbance check (frequently
 contextual); odd-parity patterns on cycles are injected for guaranteed
 strong contextuality.  ``noisy_cycle_model`` gives the rational n-cycles
-whose noncontextual-fraction LPs the solver suites run on.
+whose noncontextual-fraction LPs the solver suites run on, and
+``brute_force_globals`` is the global-section oracle.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
-from epimodal import Semiring, check_no_disturbance, is_connected, new_model, new_scenario
+from epimodal import (
+    Semiring,
+    check_no_disturbance,
+    is_connected,
+    new_model,
+    new_scenario,
+    support,
+)
 from epimodal.scenario import Section, global_section_space, restrict
 
 SHAPES = [
@@ -52,6 +60,18 @@ def noisy_cycle_model(noise, odd_at=0):
             for values in itertools.product("01", repeat=2)
         }
     return new_model(scen, Semiring.RATIONAL, tables)
+
+
+def brute_force_globals(model):
+    """Oracle: filter the full product space on every context's support."""
+    supports = {
+        ctx: support(model, ctx) for ctx in model.scenario.maximal_contexts
+    }
+    return [
+        g
+        for g in global_section_space(model.scenario)
+        if all(restrict(g, ctx) in supports[ctx] for ctx in supports)
+    ]
 
 
 def _scenario(shape):

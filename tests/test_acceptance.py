@@ -59,7 +59,7 @@ from epimodal.modal import (
 from epimodal.ratlp import LinearProgram, solve
 from epimodal.scenario import global_section_space, glue, is_compatible_family, restrict
 
-from model_random import random_boolean_models
+from model_random import brute_force_globals, random_boolean_models
 from modal_random import random_formula, random_raw_model, random_s4_model
 
 F = Fraction
@@ -171,17 +171,6 @@ def test_criterion_5_wigner_noncontextual():
         assert classify(incompat).level is HierarchyLevel.NONCONTEXTUAL
         assert not is_connected(incompat.scenario)
         assert is_connected(compat.scenario)
-
-
-def brute_force_globals(model):
-    supports = {
-        ctx: support(model, ctx) for ctx in model.scenario.maximal_contexts
-    }
-    return [
-        g
-        for g in global_section_space(model.scenario)
-        if all(restrict(g, ctx) in supports[ctx] for ctx in supports)
-    ]
 
 
 def family_extension_exists(model, supports, ctx, section):

@@ -574,6 +574,26 @@ def test_modal_string_for_a_list_exit_2(tmp_path, capsys, field, value):
     assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("agents,relations,message", [
+    (["a", "a"], {"a": [["u", "u"]]}, "agents must be distinct"),
+    (["a"], {"a": [["u", "u"]], "b": [["u", "u"]]}, "unknown agent 'b'"),
+])
+@pytest.mark.parametrize("argv", [
+    ["eval", "-f", "K{a} p"], ["trust", "--truster", "a", "--trusted", "a"],
+    ["axioms", "--vars", "p"], ["truth"],
+])
+def test_modal_rejects_repeated_agents_and_undeclared_relations(
+    tmp_path, capsys, agents, relations, message, argv
+):
+    topo = tmp_path / "topo.json"
+    topo.write_text(json.dumps({
+        "worlds": ["u"], "agents": agents,
+        "relations": relations, "valuation": {"p": ["u"]},
+    }))
+    assert main(["modal", argv[0], str(topo), *argv[1:]]) == 2
+    assert_one_line_error(capsys, message)
+
+
 def test_modal_unknown_proposition_message(tmp_path, capsys):
     topo = tmp_path / "topo.json"
     topo.write_text(json.dumps({

@@ -41,21 +41,9 @@ from epimodal.scenario import (
     restrict,
     sections,
 )
-from model_random import noisy_cycle_model
+from model_random import brute_force_globals, noisy_cycle_model
 
 F = Fraction
-
-
-def brute_force_globals(model):
-    """Oracle: filter the full product space on every context's support."""
-    supports = {
-        ctx: support(model, ctx) for ctx in model.scenario.maximal_contexts
-    }
-    return [
-        g
-        for g in global_section_space(model.scenario)
-        if all(restrict(g, ctx) in supports[ctx] for ctx in supports)
-    ]
 
 
 def noisy_pr_model(weight=F(3, 4)):

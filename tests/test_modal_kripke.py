@@ -1,10 +1,13 @@
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epimodal import jsonio
+from epimodal.cli import main
 from epimodal.errors import (
     EmptyAgentSet,
     NotAlexandrov,
@@ -18,13 +21,17 @@ from epimodal.modal import (
     K,
     TopoModel,
     Topology,
+    TrustFlavor,
     Var,
+    check_trust_brute_force,
+    check_trustworthy_brute_force,
     eval_formula,
     eval_topological,
     parse,
     relation_of,
     topology_of,
 )
+from epimodal.modal import kripke
 from modal_random import (
     eval_formula_reference,
     random_formula,
@@ -76,6 +83,17 @@ def test_make_rejects_non_s4():
             ["a"],
             {"a": list(identity("uvw")) + [("u", "v"), ("v", "w")]},
             {},
+        )
+
+
+def test_make_rejects_repeated_agents_and_undeclared_relations():
+    # a repeated agent would be counted twice in every report, and an
+    # undeclared relation would be read by no command
+    with pytest.raises(NotS4, match="^agents must be distinct$"):
+        TopoModel.make(["w"], ["a", "a"], {"a": [("w", "w")]}, {})
+    with pytest.raises(UnknownAgent, match="^unknown agent 'b'$"):
+        TopoModel.make(
+            ["w"], ["a"], {"a": [("w", "w")], "b": [("w", "w")]}, {}
         )
 
 
@@ -166,7 +184,23 @@ def test_eval_matches_the_reference_on_arbitrary_relations(seed, n_worlds, n_age
         for mode in ("E", "D"):
             node = E(group, phi) if mode == "E" else D(group, phi)
             assert eval_formula(m, node) == eval_formula_reference(m, node)
+            # the oracle's map, pairs against pairs
             assert m.group_successors(group, mode) == reference_successors(m, group, mode)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 12), st.integers(1, 3))
+def test_group_masks_encode_the_reference_successors(seed, n_worlds, n_agents):
+    m = random_raw_model(random.Random(seed), n_worlds, n_agents)
+    bit = {w: 1 << i for i, w in enumerate(m.worlds)}
+    for r in range(1, n_agents + 1):
+        for group in itertools.combinations(m.agents, r):
+            for mode in ("E", "D"):
+                succ = reference_successors(m, group, mode)
+                expected = tuple(
+                    sum(bit[v] for v in succ[w]) for w in m.worlds
+                )
+                assert m._group(group, mode).masks == expected
 
 
 def test_eval_matches_the_reference_on_every_frame_size():
@@ -197,10 +231,78 @@ def test_eval_matches_the_reference_on_every_frame_size():
 
 def test_group_successors_is_read_only():
     m = random_s4_model(random.Random(3), n_worlds=4, n_agents=2)
+    eval_formula(m, parse("E{a0,a1} p0 & D{a0,a1} p1"))
+    assert not m._successor_maps  # the bitmasks are the only store until now
     succ = m.group_successors(frozenset(m.agents), "E")
     with pytest.raises(TypeError):
         succ["w0"] = frozenset()
     assert m.group_successors(frozenset(m.agents), "E") is succ
+
+
+def _kripke_runs(tmp_path, capsys):
+    """``modal truth|axioms|trust|eval`` in process on S4 frames of 8-14
+    worlds and 3-4 agents: (argv, exit code, stdout, stderr) per run."""
+    rng = random.Random(5)
+    runs = []
+    for f, (n_worlds, n_agents) in enumerate(((8, 3), (10, 4), (12, 3), (14, 4))):
+        m = random_s4_model(rng, n_worlds, n_agents, density=0.1)
+        path = tmp_path / f"kripke-{f}.json"
+        path.write_text(json.dumps(jsonio.topomodel_to_obj(m)))
+        for command, *options in (
+            ["truth"],
+            ["axioms", "--vars", "p0", "--depth", "2", "--limit", "100"],
+            ["trust", "--truster", "a0,a1", "--trusted", "a1,a2", "--flavor", "E"],
+            ["trust", "--truster", "a2", "--trusted", "a0,a2", "--flavor", "D"],
+            ["eval", "-f", "K{a0} (p0 -> E{a0,a1} p1)"],
+            ["eval", "-f", "(box{a2} p0 <-> E{a0,a2} (p0 & D{a0,a1} p1))"],
+            ["eval", "-f", "D{a1,z} p0"],
+        ):
+            argv = ["modal", command, str(path), *options]
+            code = main(argv)
+            runs.append((argv, code, *capsys.readouterr()))
+    return runs
+
+
+def test_commands_never_read_the_oracle_successor_maps(tmp_path, capsys, monkeypatch):
+    expected = _kripke_runs(tmp_path, capsys)
+    assert {code for _, code, _, _ in expected} == {0, 2}
+
+    def unreachable(*args):
+        raise AssertionError("group_successors called")
+
+    monkeypatch.setattr(TopoModel, "group_successors", unreachable)
+    assert _kripke_runs(tmp_path, capsys) == expected
+
+
+def _oracle_values(seed):
+    rng = random.Random(seed)
+    values = []
+    for n_worlds in (1, 4, 7, 10):
+        raw = random_raw_model(rng, n_worlds, 3, n_vars=2)
+        s4 = random_s4_model(rng, n_worlds, 3)
+        for m in (raw, s4):
+            for flavor in TrustFlavor:
+                values.append(check_trust_brute_force(
+                    m, m.agents[:1], m.agents[1:], flavor
+                ))
+            for i, j in itertools.permutations(m.agents, 2):
+                values.append(check_trustworthy_brute_force(m, i, j))
+        for _ in range(4):
+            phi = random_formula(rng, list(s4.valuation), list(s4.agents), depth=3)
+            values.append(eval_topological(s4, phi))
+    return values
+
+
+def test_oracles_never_read_the_bitmasks(monkeypatch):
+    expected = _oracle_values(19)
+
+    def unreachable(*args):
+        raise AssertionError("bitmask relation used")
+
+    monkeypatch.setattr(kripke._Relation, "knows", unreachable)
+    monkeypatch.setattr(kripke._Relation, "post", unreachable)
+    monkeypatch.setattr(TopoModel, "_group", unreachable)
+    assert _oracle_values(19) == expected
 
 
 def _empty_group(cls, operand):

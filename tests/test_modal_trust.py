@@ -16,6 +16,7 @@ from epimodal.errors import (
     TrustPreconditionFailed,
 )
 from epimodal.modal import (
+    D,
     TopoModel,
     TrustFlavor,
     check_axioms,
@@ -30,8 +31,10 @@ from modal_random import (
     check_axioms_reference,
     check_trust_reference,
     check_trustworthy_reference,
+    eval_formula_reference,
     random_raw_model,
     random_s4_model,
+    reference_successors,
 )
 
 
@@ -246,7 +249,7 @@ def test_fundamental_truth_matches_brute_force_on_arbitrary_relations():
     for _ in range(300):
         m = random_raw_model(rng, n_worlds=rng.randint(1, 6),
                              n_agents=rng.randint(1, 3))
-        report = fundamental_truth_check(m, depth=1, limit=10)
+        report = fundamental_truth_check(m)
         expected = distributed_truth_brute_force(m)
         assert report.distributed_truth_holds == expected
         if report.distributed_truth_holds:
@@ -271,6 +274,30 @@ def test_fundamental_truth_identity_distributed():
     report = fundamental_truth_check(m)
     assert report.distributed_is_identity
     assert report.identity_equivalence_holds
+
+
+def test_identity_equivalence_where_pooled_knowledge_is_the_identity():
+    # where R_D{I} is the identity, p <-> D{I}p for every enumerated
+    # formula, checked on the cache-free reference evaluator; the report
+    # says True exactly there, and None elsewhere
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(40):
+        m = random_s4_model(rng, n_worlds=rng.randint(1, 6),
+                            n_agents=rng.randint(1, 3), density=0.2)
+        pooled = reference_successors(m, m.agents, "D")
+        identity = all(pooled[w] == {w} for w in m.worlds)
+        seen.add(identity)
+        report = fundamental_truth_check(m)
+        assert report.distributed_is_identity == identity
+        assert report.identity_equivalence_holds is (True if identity else None)
+        if identity:
+            everyone = frozenset(m.agents)
+            for f in enumerate_formulas(sorted(m.valuation), m.agents, 2, 60):
+                assert eval_formula_reference(m, f) == (
+                    eval_formula_reference(m, D(everyone, f))
+                )
+    assert seen == {True, False}
 
 
 def test_fundamental_truth_single_agent():
