@@ -15,6 +15,7 @@ and logically contextual when some supported local section never extends.
 from __future__ import annotations
 
 import enum
+import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,9 +64,12 @@ class ContextualityReport:
 def global_sections(model: EmpiricalModel) -> list[GlobalSection]:
     """Global sections restricting into every context's support.
 
-    Backtracks over measurements in declared order, pruning as soon as a
-    fully assigned context leaves the support; the result is in lexicographic
-    outcome order.
+    Enumerates level by level over the measurements in declared order:
+    each level extends every surviving prefix by every outcome of the next
+    measurement, then keeps the prefixes whose projection onto each context
+    completed at that level is supported.  The result is in lexicographic
+    outcome order.  A level holds at most prod |O_m| prefixes, the number
+    of global assignments, which ``analyze`` lists as mutual worlds anyway.
     """
     scen = model.scenario
     meas = scen.measurements
@@ -79,24 +83,14 @@ def global_sections(model: EmpiricalModel) -> list[GlobalSection]:
             sc.projection(meas[: last + 1], ctx),
             {sec.values for sec in support(model, ctx)},
         ))
-
-    def consistent(prefix: tuple[str, ...], upto: int) -> bool:
-        return all(
-            project(prefix) in supported for project, supported in ready[upto]
-        )
-
-    def extend(prefix: tuple[str, ...]) -> list[GlobalSection]:
-        depth = len(prefix)
-        if depth == len(meas):
-            return [Section(meas, prefix)]
-        found = []
-        for outcome in scen.outcomes[meas[depth]]:
-            nxt = prefix + (outcome,)
-            if consistent(nxt, depth):
-                found.extend(extend(nxt))
-        return found
-
-    return extend(())
+    prefixes: list[tuple[str, ...]] = [()]
+    for depth, m in enumerate(meas):
+        prefixes = [p + (o,) for p in prefixes for o in scen.outcomes[m]]
+        for project, supported in ready[depth]:
+            prefixes = list(itertools.compress(
+                prefixes, map(supported.__contains__, map(project, prefixes))
+            ))
+    return [Section(meas, values) for values in prefixes]
 
 
 def extendable(model: EmpiricalModel, context: Iterable[str], section: Section) -> bool:
@@ -115,9 +109,9 @@ def _non_extendable(
 ) -> list[tuple[Context, Section]]:
     """Supported sections no global section in ``globals_`` restricts to."""
     out = []
+    values = [g.values for g in globals_]
     for ctx in model.scenario.maximal_contexts:
-        project = sc.projection(model.scenario.measurements, ctx)
-        image = {project(g.values) for g in globals_}
+        image = set(map(sc.projection(model.scenario.measurements, ctx), values))
         for section in sorted(support(model, ctx), key=lambda s: s.values):
             if section.values not in image:
                 out.append((ctx, section))

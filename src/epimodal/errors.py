@@ -157,6 +157,17 @@ class UnknownAgent(ModalError):
         super().__init__(f"unknown agent {agent!r}")
 
 
+class BadAgentName(ModalError):
+    """An agent name that no formula can write: not a nonempty run of
+    letters, digits and underscores."""
+
+    def __init__(self, agent):
+        self.agent = agent
+        super().__init__(
+            f"agent name {agent!r} is not letters, digits and underscores"
+        )
+
+
 class UnknownVariable(ModalError):
     pass
 

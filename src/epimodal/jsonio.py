@@ -17,6 +17,14 @@ Field names are part of the on-disk contract:
     topomodel  {"worlds": [...], "agents": [...],
                 "relations": {"a": [["w1", "w2"], ...], ...},
                 "valuation": {"p": ["w1"], ...}}
+
+``dumps`` writes exactly the text of ``json.dumps(payload, indent=2)``
+plus a newline, without the standard library's pure-Python indenting
+encoder: strings go through the C ``encode_basestring_ascii``, a list of
+strings is one join over them, any other scalar (int, bool, None, float)
+is ``json.dumps`` of that scalar alone, and the pieces are joined once.  Lists and tuples are
+arrays, dicts are objects in insertion order; a dict key that is not a
+``str`` raises TypeError.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import itertools
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 
 from .contextuality import ContextualityReport
 from .empirical import EmpiricalModel, NoDisturbanceReport, Semiring, new_model
@@ -55,8 +64,47 @@ def _context_key(context) -> str:
     return ",".join(context)
 
 
+def _encode(value, newline: str, parts: list) -> None:
+    """Append to ``parts`` the text ``json.dumps(value, indent=2)`` writes
+    for ``value`` at the depth whose line break and indent are ``newline``."""
+    if isinstance(value, str):
+        parts.append(_string(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        parts.append("[" + inner)
+        try:
+            parts.append(("," + inner).join(map(_string, value)))
+        except TypeError:  # not a list of strings only
+            for i, item in enumerate(value):
+                if i:
+                    parts.append("," + inner)
+                _encode(item, inner, parts)
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        opening = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"dict key {key!r} is not a string")
+            parts.append(opening + _string(key) + ": ")
+            opening = "," + inner
+            _encode(item, inner, parts)
+        parts.append(newline + "}")
+    else:
+        parts.append(json.dumps(value))
+
+
 def dumps(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    parts: list[str] = []
+    _encode(payload, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 # -- scenarios ----------------------------------------------------------------
@@ -236,15 +284,28 @@ def contextuality_to_obj(
     return obj
 
 
+def _world_keys(outcomes) -> list[str]:
+    """Comma-joined keys of the product of ``outcomes``, lexicographically:
+    the keys of the first half of the agents, each followed by every key of
+    the second half, so most keys are built by one concatenation."""
+    half = len(outcomes) // 2
+    if half == 0:
+        return list(map(",".join, itertools.product(*outcomes)))
+    heads = map(",".join, itertools.product(*outcomes[:half]))
+    tails = ["," + k for k in map(",".join, itertools.product(*outcomes[half:]))]
+    keys = []
+    for head in heads:
+        keys.extend(map(head.__add__, tails))
+    return keys
+
+
 def translation_to_obj(scenario: MultiAgentScenario) -> dict:
     return {
         "agents": list(scenario.agents),
         "trust_pairs": sorted(
             [sorted(a), sorted(b)] for a, b in scenario.trust_pairs
         ),
-        "mutual_worlds": list(
-            map(",".join, itertools.product(*scenario.outcomes))
-        ),
+        "mutual_worlds": _world_keys(scenario.outcomes),
         "distributed_worlds": [
             [_context_key(ctx), section.key()]
             for ctx, section in scenario.distributed_worlds

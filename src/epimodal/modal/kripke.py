@@ -39,13 +39,14 @@ from functools import reduce
 from types import MappingProxyType
 
 from ..errors import (
+    BadAgentName,
     EmptyAgentSet,
     NotAlexandrov,
     NotS4,
     UnknownAgent,
     UnknownVariable,
 )
-from .formulas import And, D, E, Formula, Iff, Implies, K, Not, Or, Var
+from .formulas import _AGENT, And, D, E, Formula, Iff, Implies, K, Not, Or, Var
 
 Worlds = frozenset[str]
 Relation = frozenset[tuple[str, str]]
@@ -162,13 +163,18 @@ class TopoModel:
         require_s4: bool = True,
     ) -> "TopoModel":
         """Validate and build.  ``require_s4=False`` admits arbitrary
-        relations; tests use it to construct counterexample frames."""
+        relations; tests use it to construct counterexample frames.  An
+        agent name must be one a formula can write (``K{a_1} p``):
+        letters, digits and underscores, else BadAgentName."""
         ws = tuple(worlds)
         ags = tuple(agents)
         if len(set(ws)) != len(ws) or not ws:
             raise NotS4("worlds must be nonempty and distinct")
         if len(set(ags)) != len(ags):
             raise NotS4("agents must be distinct")
+        for agent in ags:
+            if not isinstance(agent, str) or not _AGENT.fullmatch(agent):
+                raise BadAgentName(agent)
         undeclared = sorted(set(relations) - set(ags))
         if undeclared:
             raise UnknownAgent(undeclared[0])
@@ -360,19 +366,22 @@ def eval_topological(model: TopoModel, formula: Formula) -> Worlds:
         if isinstance(node, Iff):
             left, right = go(node.left), go(node.right)
             return universe - (left ^ right)
+        # the operand is evaluated before the agents are looked up, as in
+        # eval_mask
         if isinstance(node, K):
-            return topo_for(frozenset([node.agent])).interior(
-                go(node.operand)
-            )
+            target = go(node.operand)
+            return topo_for(frozenset([node.agent])).interior(target)
         if isinstance(node, E):
             target = go(node.operand)
+            _group_key(node.agents, "E")  # EmptyAgentSet for an empty group
             parts = [
                 topo_for(frozenset([agent])).interior(target)
                 for agent in sorted(node.agents)
             ]
             return frozenset.intersection(*parts)
         if isinstance(node, D):
-            return topo_for(node.agents).interior(go(node.operand))
+            target = go(node.operand)
+            return topo_for(node.agents).interior(target)
         raise TypeError(f"not a formula node: {node!r}")
 
     return go(formula)

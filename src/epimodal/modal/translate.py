@@ -94,11 +94,12 @@ def translate(model: EmpiricalModel) -> MultiAgentScenario:
             for c in itertools.combinations(ctx, r)
         ]
         trust.update(itertools.product(subsets, repeat=2))
-    distributed = tuple(
+    # a tuple of a list, not of a generator, as in ratlp.LinearProgram.build
+    distributed = tuple([
         (ctx, section)
         for ctx in scen.maximal_contexts
         for section in sorted(support(model, ctx), key=lambda s: s.values)
-    )
+    ])
     return MultiAgentScenario(
         agents=scen.measurements,
         trust_pairs=frozenset(trust),

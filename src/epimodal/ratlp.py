@@ -93,9 +93,12 @@ class LinearProgram:
     def build(cls, objective, rows, bounds) -> "LinearProgram":
         """Each row is a dense sequence of len(objective) coefficients or a
         mapping column -> coefficient whose missing columns are 0."""
-        c = tuple(_fraction(v) for v in objective)
-        a = tuple(_sparse_row(row, len(c)) for row in rows)
-        u = tuple(_fraction(v) for v in bounds)
+        # tuples of lists, not of generators: CPython sizes a tuple of a
+        # generator by resizing, so its memory is never taken back from the
+        # free list of its final size, and that list grows with every call
+        c = tuple([_fraction(v) for v in objective])
+        a = tuple([_sparse_row(row, len(c)) for row in rows])
+        u = tuple([_fraction(v) for v in bounds])
         if len(a) != len(u):
             raise Malformed("row/bound count mismatch")
         if any(b < 0 for b in u):
@@ -264,7 +267,7 @@ def solve(
     for i, var in enumerate(basis):
         xs[var] = Fraction(tab[i][m], den if var < n else den * scale)
     x, s = xs[:n], xs[n:]
-    y = tuple(Fraction(w, den) for w in z)
+    y = tuple([Fraction(w, den) for w in z])  # a list: see build
     value = sum(c * v for c, v in zip(lp.objective, x) if v)
     _verify_certificate(lp, x, s, y, value)
     return LpSolution(

@@ -283,6 +283,27 @@ def hardy_cycle(n):
     })
 
 
+def test_analyze_writes_without_the_standard_indenting_encoder(
+    tmp_path, capsys, monkeypatch
+):
+    # the report is the text json.dumps(indent=2) writes, but no part of it
+    # comes from the standard library's pure-Python encoder
+    hardy = tmp_path / "hardy.json"
+    hardy.write_text(model_to_json(hardy_cycle(12)))
+    expected = {
+        GOLDEN / "fr_model.json": (GOLDEN / "fr_report.json").read_text(),
+        hardy: json.dumps(analysis_report(hardy_cycle(12)), indent=2) + "\n",
+    }
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder was used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", unreachable)
+    for path, text in expected.items():
+        assert main(["analyze", str(path)]) == 11  # logical
+        assert capsys.readouterr().out == text
+
+
 def test_analyze_and_translate_build_no_mutual_world(
     tmp_path, capsys, monkeypatch
 ):
@@ -404,6 +425,31 @@ def write_topo(tmp_path):
         "valuation": {"p": ["u"], "q": ["v"]},
     }))
     return str(topo)
+
+
+@pytest.mark.parametrize("name", ["a,b", " c", ""])
+@pytest.mark.parametrize("argv", [
+    ["truth"],
+    ["eval", "-f", "p"],
+    ["trust", "--truster", "a", "--trusted", "a"],
+    ["axioms", "--vars", "p"],
+])
+def test_modal_rejects_agent_names_no_formula_can_write(
+    tmp_path, capsys, name, argv
+):
+    # a frame naming an agent "a,b" could not be asked about that agent
+    topo = tmp_path / "topo.json"
+    topo.write_text(json.dumps({
+        "worlds": ["u"], "agents": ["a", name],
+        "relations": {"a": [["u", "u"]], name: [["u", "u"]]},
+        "valuation": {"p": ["u"]},
+    }))
+    assert main(["modal", argv[0], str(topo), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: agent name {name!r} is not letters, digits and underscores\n"
+    )
 
 
 @pytest.mark.parametrize("option,value,message", [

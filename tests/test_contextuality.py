@@ -3,6 +3,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epimodal import (
     HierarchyLevel,
@@ -25,7 +27,7 @@ from epimodal import (
 )
 import epimodal.ratlp
 import epimodal.scenario
-from epimodal.contextuality import noncontextual_fraction_certified
+from epimodal.contextuality import _non_extendable, noncontextual_fraction_certified
 from epimodal.errors import (
     DisturbingModel,
     NotACycle,
@@ -41,7 +43,7 @@ from epimodal.scenario import (
     restrict,
     sections,
 )
-from model_random import brute_force_globals, noisy_cycle_model
+from model_random import SHAPES, brute_force_globals, noisy_cycle_model
 
 F = Fraction
 
@@ -96,6 +98,98 @@ def test_global_sections_deterministic_single_context():
     m = new_model(scen, Semiring.RATIONAL,
                   {("A", "B"): {"0,1": 1}})
     assert [g.key() for g in global_sections(m)] == ["0,1"]
+
+
+def _shift_supports(scen, shifts):
+    """Context (a, b) supports the outcome pairs whose positions in their
+    outcome lists differ by the context's shift mod k: a permutation per
+    context, so every marginal is full; around a cycle whose shifts do not
+    cancel, no global section survives."""
+    k = len(scen.outcomes[scen.measurements[0]])
+    supports = {}
+    for ctx, shift in zip(scen.maximal_contexts, shifts):
+        a, b = (scen.outcomes[m] for m in ctx)
+        supports[ctx] = {
+            Section(ctx, (a[i], b[(i + shift) % k])) for i in range(k)
+        }
+    return supports
+
+
+@st.composite
+def multi_outcome_models(draw):
+    """Boolean models over the property-suite shapes with 2-4 outcomes per
+    measurement in any label order: supports that are the image of some
+    global assignments, full tables with one cell knocked out per context,
+    or (on shapes of two-measurement contexts) permutation supports, which
+    are strongly contextual on a cycle whose shifts do not cancel."""
+    n, contexts = draw(st.sampled_from(SHAPES))
+    meas = ["A", "B", "C", "D"][:n]
+    labels = ["0", "1", "2", "x"]
+    modes = ["image", "punctured"]
+    if all(len(c) == 2 for c in contexts):
+        modes.append("shift")
+    mode = draw(st.sampled_from(modes))
+    common = draw(st.integers(2, 4))
+    outcomes = {
+        m: draw(st.permutations(labels))[
+            : common if mode == "shift" else draw(st.integers(2, 4))
+        ]
+        for m in meas
+    }
+    scen = new_scenario(meas, contexts, outcomes)
+    if mode == "image":
+        space = global_section_space(scen)
+        chosen = draw(st.sets(st.sampled_from(space), min_size=1, max_size=6))
+        supports = {
+            ctx: {restrict(g, ctx) for g in chosen}
+            for ctx in scen.maximal_contexts
+        }
+    elif mode == "punctured":
+        supports = {}
+        for ctx in scen.maximal_contexts:
+            cells = sections(scen, ctx)
+            hole = draw(st.integers(0, len(cells) - 1))
+            supports[ctx] = set(cells[:hole] + cells[hole + 1:])
+    else:
+        shifts = [
+            draw(st.integers(0, common - 1)) for _ in scen.maximal_contexts
+        ]
+        supports = _shift_supports(scen, shifts)
+    return new_model(scen, Semiring.BOOLEAN, {
+        ctx: {sec: 1 for sec in supports[ctx]} for ctx in scen.maximal_contexts
+    })
+
+
+@settings(max_examples=200, deadline=None)
+@given(multi_outcome_models())
+def test_global_sections_and_witnesses_match_brute_force(model):
+    got = global_sections(model)
+    expected = brute_force_globals(model)
+    assert got == expected  # the same sections in the same order
+    witnesses = [
+        (ctx, sec)
+        for ctx in model.scenario.maximal_contexts
+        for sec in sorted(support(model, ctx), key=lambda s: s.values)
+        if all(restrict(g, ctx) != sec for g in expected)
+    ]
+    assert _non_extendable(model, got) == witnesses
+
+
+def test_global_sections_of_a_strongly_contextual_three_outcome_cycle():
+    scen = new_scenario(
+        ["A", "B", "C", "D"],
+        [{"A", "B"}, {"B", "C"}, {"C", "D"}, {"A", "D"}],
+        {m: ["2", "0", "1"] for m in "ABCD"},
+    )
+    # contexts in canonical order AB, AD, BC, CD: B = A + 1 and D = A, but
+    # C = B and D = C (positions mod 3), so no global section
+    supports = _shift_supports(scen, [1, 0, 0, 0])
+    model = new_model(scen, Semiring.BOOLEAN, {
+        ctx: {sec: 1 for sec in supports[ctx]} for ctx in scen.maximal_contexts
+    })
+    assert global_sections(model) == brute_force_globals(model) == []
+    assert len(_non_extendable(model, [])) == 12  # every supported section
+    assert classify(model).level is HierarchyLevel.STRONGLY_CONTEXTUAL
 
 
 def test_extendable(fr_model):

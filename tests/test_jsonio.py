@@ -1,19 +1,24 @@
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epimodal import Semiring, build_pr_model, build_wigner_model
 from epimodal.jsonio import (
     ParseError,
+    dumps,
     model_from_json,
     model_to_json,
     scenario_from_obj,
     scenario_to_obj,
     topomodel_from_json,
     topomodel_to_obj,
+    translation_to_obj,
 )
-from epimodal.modal import TopoModel
+from epimodal.modal import MultiAgentScenario, TopoModel
 
 F = Fraction
 
@@ -132,3 +137,78 @@ def test_topomodel_lists_must_be_lists_of_strings(field, value):
     obj[field] = value
     with pytest.raises(ParseError):
         topomodel_from_json(json.dumps(obj))
+
+
+# Strings that exercise every escape: quotes, backslashes, control
+# characters, DEL, non-ASCII, the JSON-unsafe line separators and astral
+# characters (written as surrogate pairs).
+_strings = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x08\x1f\x7f\u00e9\u2028\uffff\U0001f600'),
+        st.characters(),
+    ),
+    max_size=6,
+)
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**80), 2**80),
+    st.floats(),
+    _strings,
+)
+_trees = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(_strings, max_size=5),
+        st.dictionaries(_strings, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300)
+@given(_trees)
+def test_dumps_is_the_standard_indent_2_text(tree):
+    assert dumps(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+def test_dumps_of_empty_and_nested_containers():
+    tree = {"a": [], "b": {}, "c": [[], {}, [[]]], "d": ("x", ["y", 1])}
+    assert dumps(tree) == json.dumps(tree, indent=2) + "\n"
+    assert dumps([]) == "[]\n" and dumps({}) == "{}\n"
+
+
+@pytest.mark.parametrize("tree", [{1: "a"}, {"a": {None: 1}}, [{("k",): 1}]])
+def test_dumps_rejects_keys_that_are_not_strings(tree):
+    with pytest.raises(TypeError, match="is not a string"):
+        dumps(tree)
+
+
+def test_dumps_rejects_values_json_cannot_write():
+    with pytest.raises(TypeError):
+        dumps({"a": [Fraction(1, 3)]})
+
+
+@pytest.mark.parametrize("outcomes", [
+    (),
+    (("0", "1"),),
+    (("1", "0"), ("a", "b", "c")),
+    tuple(("0", "1") for _ in range(7)),
+    (("x",), ("0", "1"), ("y",)),
+    (("x",),),
+    (("x",), ("y",)),
+    (("b", "a"), ("x",), ("2", "0", "1"), ("u",), ("1", "0")),
+])
+def test_mutual_world_keys_follow_the_product_order(outcomes):
+    scenario = MultiAgentScenario(
+        agents=tuple(f"M{i}" for i in range(len(outcomes))),
+        trust_pairs=frozenset(),
+        outcomes=outcomes,
+        distributed_worlds=(),
+    )
+    keys = translation_to_obj(scenario)["mutual_worlds"]
+    assert keys == [",".join(v) for v in itertools.product(*outcomes)]
+    assert keys == [g.key() for g in scenario.mutual_worlds]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from epimodal import jsonio
 from epimodal.cli import main
 from epimodal.errors import (
+    BadAgentName,
     EmptyAgentSet,
     NotAlexandrov,
     NotS4,
@@ -95,6 +96,23 @@ def test_make_rejects_repeated_agents_and_undeclared_relations():
         TopoModel.make(
             ["w"], ["a"], {"a": [("w", "w")], "b": [("w", "w")]}, {}
         )
+
+
+@pytest.mark.parametrize("name", ["a,b", " c", "c ", "", "K{a}", "é", 7])
+def test_make_rejects_agent_names_no_formula_can_write(name):
+    with pytest.raises(BadAgentName) as info:
+        TopoModel.make(["w"], ["a", name], {"a": [("w", "w")], name: [("w", "w")]}, {})
+    assert info.value.agent == name
+    assert str(info.value) == (
+        f"agent name {name!r} is not letters, digits and underscores"
+    )
+
+
+def test_make_accepts_every_agent_name_a_formula_can_write():
+    names = ["a", "B", "a_1", "_", "007"]
+    m = TopoModel.make(["w"], names, {a: [("w", "w")] for a in names}, {"p": ["w"]})
+    for name in names:
+        assert eval_formula(m, parse(f"K{{{name}}} p")) == {"w"}
 
 
 def test_hierarchy_inclusions_fixed_model():
@@ -313,7 +331,9 @@ def _empty_group(cls, operand):
     return node
 
 
-@pytest.mark.parametrize("evaluate", [eval_formula, eval_formula_reference])
+@pytest.mark.parametrize(
+    "evaluate", [eval_formula, eval_formula_reference, eval_topological]
+)
 def test_errors_after_a_successful_evaluation(evaluate):
     m = TopoModel.make(
         ["u", "v"], ["a", "b"],
@@ -330,6 +350,7 @@ def test_errors_after_a_successful_evaluation(evaluate):
         (K("z", Var("q")), UnknownVariable, "unknown proposition 'q'"),
         (E(frozenset({"a", "z"}), Var("p")), UnknownAgent, "unknown agent 'z'"),
         (D(frozenset({"y", "z"}), Var("p")), UnknownAgent, "unknown agent 'y'"),
+        (D(frozenset({"y", "z"}), Var("q")), UnknownVariable, "unknown proposition 'q'"),
         (_empty_group(E, Var("p")), EmptyAgentSet, "knowledge of the empty agent set"),
         (_empty_group(D, Var("p")), EmptyAgentSet, "knowledge of the empty agent set"),
     ]
