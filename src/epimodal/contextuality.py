@@ -142,17 +142,23 @@ def noncontextual_fraction_certified(model: EmpiricalModel) -> ratlp.LpSolution:
         raise WrongSemiring("noncontextual fraction needs a rational model")
     require_no_disturbance(model)
     scen = model.scenario
-    lam = sc.global_section_space(scen)
     order = _lp_rows(scen)
-    one = Fraction(1)  # shared by every nonzero: build keeps a Fraction as is
-    rows = [{} for _ in order]
-    for ctx in scen.maximal_contexts:
-        row_of = {sec.values: i for i, (c, sec) in enumerate(order) if c == ctx}
-        project = sc.projection(scen.measurements, ctx)
-        for j, g in enumerate(lam):
-            rows[row_of[project(g.values)]][j] = one
-    bounds = [model.tables[ctx][section] for ctx, section in order]
-    lp = ratlp.LinearProgram.build([one] * len(lam), rows, bounds)
+    row_of = {ctx: {} for ctx in scen.maximal_contexts}
+    for i, (ctx, section) in enumerate(order):
+        row_of[ctx][section.values] = i
+    pools = [scen.outcomes[m] for m in scen.measurements]
+    # the row each global assignment (in lexicographic order) meets in each
+    # context; contexts come in row order, so a column's rows ascend
+    hits = [
+        list(map(
+            row_of[ctx].__getitem__,
+            map(sc.projection(scen.measurements, ctx), itertools.product(*pools)),
+        ))
+        for ctx in scen.maximal_contexts
+    ]
+    columns = tuple([((1, rows),) for rows in zip(*hits)])
+    bounds = tuple([model.tables[ctx][section] for ctx, section in order])
+    lp = ratlp.LinearProgram((Fraction(1),) * len(columns), bounds, columns, 1)
     return ratlp.solve(lp)
 
 

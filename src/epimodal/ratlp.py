@@ -1,42 +1,49 @@
-"""Exact rational linear programming by revised simplex on sparse columns.
+"""Exact rational linear programming by revised simplex on integer columns.
 
 Canonical form only: maximize c.x subject to A.x <= u, x >= 0, with u >= 0
 so the origin is always feasible and no phase-1 is needed.  The pivot rule
 is Bland's (smallest index), which cannot cycle.
 
-A is stored sparsely: each row keeps its nonzero entries only, as
-(column, coefficient) pairs.  An LP of the noncontextual fraction has one
-column per global assignment and one row per local section, and each
-column has one nonzero per maximal context, so the nonzeros are a small
-share of the matrix.
+A is stored by columns, as (1/d) times an integer matrix, d > 0 being one
+denominator for the whole of A: column j keeps its nonzero integer entries
+only, grouped by value, as ((a, rows), ...) with ``rows`` the ascending
+indices of the rows where the integer matrix has a.  An LP of the
+noncontextual fraction has one column per global assignment and one row
+per local section; each column is a single group ((1, rows),), one row
+per maximal context, so the nonzeros are a small share of the matrix and
+the LP is built with d = 1 and no ``Fraction`` per nonzero.
+``LinearProgram.build`` takes the LP row by row and transposes it once;
+``LinearProgram.rows`` derives the row-wise view back.
 
 The simplex is revised and fraction-free (Edmonds 1967 and Bareiss 1968,
 the integer pivoting lrs uses).  Multiplying every row and the objective
-by the lcm L of the LP's denominators gives the integer tableau
-[L.A | I | L.u]; it is the LP with each slack variable multiplied by L, so
-every ratio of one ratio test scales by the same positive factor and every
-reduced cost keeps its sign.  That tableau is never formed.  Between pivots
-the solver keeps only its slack block S = den.B^-1 (m x m), its right-hand
-side and the slack part z of its cost row, den being the last pivot (1
-before the first); all are integers.  Column j of the tableau is
-S.(L.a_j) and its reduced cost is z.(L.a_j) - den.L.c_j, each summed over
-the nonzeros of a_j, and a slack's reduced cost is its entry of z.  The
-Edmonds/Bareiss update runs on S, the right-hand side and z, and each of
-its divisions by the previous pivot is exact.  The entering column is the
-first with a negative reduced cost (structural columns before slacks), the
-leaving row has the minimum ratio with ties to the smaller basis index, so
-the pivots, and with them the returned vertex, dual point, pivot count and
-unbounded ray, are those of the same simplex on a dense ``Fraction``
-tableau.  Point and dual point are returned as ``fractions.Fraction``.
+by the lcm L of d and the denominators of c and u gives the integer
+tableau [L.A | I | L.u]; it is the LP with each slack variable multiplied
+by L, so every ratio of one ratio test scales by the same positive factor
+and every reduced cost keeps its sign.  That tableau is never formed.
+Each integer column is scaled once, by L/d.  Between pivots the solver
+keeps only its slack block S = den.B^-1 (m x m), its right-hand side and
+the slack part z of its cost row, den being the last pivot (1 before the
+first); all are integers.  Column j of the tableau is S.(L.a_j) and its
+reduced cost is z.(L.a_j) - den.L.c_j, each summed over the groups of
+a_j, and a slack's reduced cost is its entry of z.  The Edmonds/Bareiss
+update runs on S, the right-hand side and z, and each of its divisions by
+the previous pivot is exact.  The entering column is the first with a
+negative reduced cost (structural columns before slacks), the leaving row
+has the minimum ratio with ties to the smaller basis index, so the pivots,
+and with them the returned vertex, dual point, pivot count and unbounded
+ray, are those of the same simplex on a dense ``Fraction`` tableau.  Point
+and dual point are returned as ``fractions.Fraction``.
 
 Every OPTIMAL solution ships with the slack u - A.x of each row and a dual
 point.  The slack is read off the final basis like the point: a basic
 slack of the integer tableau is L times the LP's, so it is rhs/(den.L),
 and a nonbasic one is 0.  Before returning, the solver checks in exact
-arithmetic on the original LP that u - A.x equals the slack and is
-nonnegative, that point and dual point are nonnegative, dual feasibility
-over every column and strong duality, each sum over the nonzero terms
-only: (point, slack, dual_point) is a checked optimality certificate
+arithmetic on the original LP, column by column, that u - A.x equals the
+slack and is nonnegative (A.x summed over the columns of the point's
+support only), that point and dual point are nonnegative, that y.A >= c
+holds in every column (in integers, over the column's groups) and strong
+duality: (point, slack, dual_point) is a checked optimality certificate
 independent of the integer pivoting.
 """
 
@@ -77,33 +84,80 @@ def _sparse_row(row, n: int) -> tuple[tuple[int, Fraction], ...]:
     return tuple((j, a) for j, v in items if (a := _fraction(v)))
 
 
+Column = tuple[tuple[int, tuple[int, ...]], ...]
+
+
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize objective.x  subject to  rows.x <= bounds, x >= 0.
+    """maximize objective.x  subject to  A.x <= bounds, x >= 0.
 
-    ``rows[i]`` holds the nonzero entries of row i as (column, coefficient)
-    pairs by ascending column; every other coefficient is 0.
+    A = (1/den) times an integer matrix, stored by columns: ``columns[j]``
+    holds the nonzero entries of column j of the integer matrix as
+    ((a, rows), ...), a a nonzero int and ``rows`` the ascending indices
+    of the rows where the entry is a; every other entry is 0.
     """
 
     objective: tuple[Fraction, ...]
-    rows: tuple[tuple[tuple[int, Fraction], ...], ...]
     bounds: tuple[Fraction, ...]
+    columns: tuple[Column, ...]
+    den: int
+
+    def __post_init__(self):
+        m = len(self.bounds)
+        if len(self.columns) != len(self.objective):
+            raise Malformed("column count does not match objective length")
+        if self.den <= 0:
+            raise Malformed("the denominator of A must be positive")
+        if any(
+            rows[0] < 0 or rows[-1] >= m
+            for column in self.columns
+            for _, rows in column
+        ):
+            raise Malformed("row/bound count mismatch")
+        if any(b < 0 for b in self.bounds):
+            raise Malformed("negative bound: origin would be infeasible")
 
     @classmethod
     def build(cls, objective, rows, bounds) -> "LinearProgram":
-        """Each row is a dense sequence of len(objective) coefficients or a
-        mapping column -> coefficient whose missing columns are 0."""
+        """The LP of A's rows, each a dense sequence of len(objective)
+        coefficients or a mapping column -> coefficient whose missing
+        columns are 0, over the least common denominator of A."""
         # tuples of lists, not of generators: CPython sizes a tuple of a
         # generator by resizing, so its memory is never taken back from the
         # free list of its final size, and that list grows with every call
         c = tuple([_fraction(v) for v in objective])
-        a = tuple([_sparse_row(row, len(c)) for row in rows])
         u = tuple([_fraction(v) for v in bounds])
-        if len(a) != len(u):
+        sparse = [_sparse_row(row, len(c)) for row in rows]
+        # an all-zero row leaves no index in the columns: count rows here
+        if len(sparse) != len(u):
             raise Malformed("row/bound count mismatch")
-        if any(b < 0 for b in u):
-            raise Malformed("negative bound: origin would be infeasible")
-        return cls(c, a, u)
+        den = math.lcm(*{a.denominator for row in sparse for _, a in row})
+        groups: list[dict[int, list[int]]] = [{} for _ in c]
+        for i, row in enumerate(sparse):
+            for j, a in row:
+                groups[j].setdefault(
+                    a.numerator * (den // a.denominator), []
+                ).append(i)
+        columns = tuple([
+            tuple([(a, tuple(rows)) for a, rows in g.items()]) for g in groups
+        ])
+        return cls(c, u, columns, den)
+
+    @property
+    def rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Row i of A as its nonzero (column, coefficient) pairs by
+        ascending column: the row-wise view ``build`` takes, derived from
+        the columns on each access."""
+        rows: list[list[tuple[int, Fraction]]] = [[] for _ in self.bounds]
+        coefficient: dict[int, Fraction] = {}  # one Fraction per value
+        for j, column in enumerate(self.columns):
+            for a, indices in column:
+                if a not in coefficient:
+                    coefficient[a] = Fraction(a, self.den)
+                entry = (j, coefficient[a])
+                for i in indices:
+                    rows[i].append(entry)
+        return tuple([tuple(row) for row in rows])
 
 
 @dataclass(frozen=True)
@@ -118,33 +172,42 @@ class LpSolution:
     pivots: int
 
 
+def _common(values) -> tuple[int, list[int]]:
+    """(d, [v*d for v in values]) for d the lcm of the values' denominators."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*{q for _, q in ratios})
+    return d, [p * (d // q) for p, q in ratios]
+
+
 def _verify_certificate(lp: LinearProgram, x, s, y, value) -> None:
-    # Each sum runs over the nonzero terms only: the terms skipped are 0.
-    primal = {j: v for j, v in enumerate(x) if v}
-    for row, bound, slack in zip(lp.rows, lp.bounds, s, strict=True):
-        rest = bound - sum(a * primal[j] for j, a in row if j in primal)
+    # den.A.x in integers, as r / (den.dx), summed over the point's support
+    support = [(j, v) for j, v in enumerate(x) if v]
+    dx, xs = _common([v for _, v in support])
+    r = [0] * len(lp.bounds)
+    for (j, _), v in zip(support, xs):
+        for a, rows in lp.columns[j]:
+            t = a * v
+            for i in rows:
+                r[i] += t
+    scale = lp.den * dx
+    for bound, ax, slack in zip(lp.bounds, r, s, strict=True):
+        rest = bound - Fraction(ax, scale) if ax else bound
         if rest < 0:
             raise Malformed("internal: primal point violates a constraint")
         if rest != slack:
             raise Malformed("internal: slack is not bounds - rows.point")
-    if any(v < 0 for v in x) or any(w < 0 for w in y):
+    # the scaled integers have the signs of the Fractions
+    dy, ys = _common(y)
+    if min(xs, default=0) < 0 or min(ys, default=0) < 0:
         raise Malformed("internal: certificate has a negative component")
-    # y.A >= c column by column, over the integers: both sides times dy.da,
-    # dy and da being common denominators of y and of (A's priced rows, c)
-    dual = [(w, row) for w, row in zip(y, lp.rows) if w]
-    dy = math.lcm(*(w.denominator for w, _ in dual))
-    da = math.lcm(
-        *(c.denominator for c in lp.objective),
-        *(a.denominator for _, row in dual for _, a in row),
-    )
-    priced = [0] * len(lp.objective)
-    for w, row in dual:
-        wy = w.numerator * (dy // w.denominator)
-        for j, a in row:
-            priced[j] += wy * a.numerator * (da // a.denominator)
+    # y.A >= c column by column, over the integers: both sides times
+    # den.dy.dc, dy and dc being common denominators of y and of c
+    dc, cs = _common(lp.objective)
+    priced = ys.__getitem__
+    floor = lp.den * dy
     if any(
-        p < c.numerator * (da // c.denominator) * dy
-        for p, c in zip(priced, lp.objective)
+        _dot(column, priced) * dc < c * floor
+        for column, c in zip(lp.columns, cs)
     ):
         raise Malformed("internal: dual point is infeasible")
     dual_value = sum(w * b for w, b in zip(y, lp.bounds))
@@ -182,23 +245,21 @@ def solve(
     feasible ray when the optimum is infinite.
     """
     n = len(lp.objective)
-    m = len(lp.rows)
-    scale = math.lcm(*{
-        v.denominator
-        for v in itertools.chain(
-            lp.objective, lp.bounds, (a for row in lp.rows for _, a in row)
-        )
-    })
+    m = len(lp.bounds)
+    scale = math.lcm(
+        lp.den,
+        *{v.denominator for v in itertools.chain(lp.objective, lp.bounds)},
+    )
 
     def scaled(v: Fraction) -> int:
         return v.numerator * (scale // v.denominator)
 
-    # column j of L.A, its nonzero rows grouped by entry, as _dot takes it
-    groups: list[dict[int, list[int]]] = [{} for _ in range(n)]
-    for i, row in enumerate(lp.rows):
-        for j, a in row:
-            groups[j].setdefault(scaled(a), []).append(i)
-    columns = [tuple(g.items()) for g in groups]
+    # column j of L.A, as _dot takes it: each group's entry times L/den
+    factor = scale // lp.den
+    columns = lp.columns if factor == 1 else [
+        tuple([(a * factor, rows) for a, rows in column])
+        for column in lp.columns
+    ]
     cost = [scaled(v) for v in lp.objective]
     # tab[i] = [S[i] | rhs[i]] and z: the slack and right-hand-side
     # columns of the integer tableau and the slack part of its cost row
@@ -268,7 +329,9 @@ def solve(
         xs[var] = Fraction(tab[i][m], den if var < n else den * scale)
     x, s = xs[:n], xs[n:]
     y = tuple([Fraction(w, den) for w in z])  # a list: see build
-    value = sum(c * v for c, v in zip(lp.objective, x) if v)
+    value = sum(
+        (lp.objective[j] * x[j] for j in basis if j < n), Fraction(0)
+    )
     _verify_certificate(lp, x, s, y, value)
     return LpSolution(
         status=LpStatus.OPTIMAL,

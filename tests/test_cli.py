@@ -254,13 +254,14 @@ def test_analyze_runs_each_stage_once(fr_model, monkeypatch):
     monkeypatch.setattr(epimodal.contextuality, "possibilistic_collapse", collapse)
     monkeypatch.setattr(epimodal.cli, "possibilistic_collapse", collapse)
     analysis_report(fr_model)
-    # the space is built by the LP alone: the decomposition reads the LP's
-    # slack and translate enumerates nothing; the model is collapsed by
-    # classify and once for the whole liar search
+    # the space is never built: the LP's columns come from outcome tuples,
+    # the decomposition reads the LP's slack and translate enumerates
+    # nothing; the model is collapsed by classify and once for the whole
+    # liar search
     assert calls == {
         "solve": 1,
         "global_sections": 1,
-        "global_section_space": 1,
+        "global_section_space": 0,
         "collapse_rational": 2,
     }
 

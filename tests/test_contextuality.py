@@ -424,6 +424,91 @@ def test_ncf_lp_build_restricts_once_per_context_and_assignment(monkeypatch):
     assert lps == [LinearProgram.build([F(1)] * len(lam), rows, bounds)]
 
 
+def restrict_comprehension_lp(model):
+    """(objective, dense rows, bounds) of the noncontextual-fraction LP: a
+    row per (context, section), a column per global assignment, the entry
+    1 where the assignment restricts to the section."""
+    scen = model.scenario
+    lam = global_section_space(scen)
+    rows, bounds = [], []
+    for ctx in scen.maximal_contexts:
+        for section in sections(scen, ctx):
+            rows.append([F(int(restrict(g, ctx) == section)) for g in lam])
+            bounds.append(model.tables[ctx][section])
+    return [F(1)] * len(lam), rows, bounds
+
+
+def pushforward_model(scen, weights):
+    """The model of a distribution on the global assignments, given by
+    positive weights in lexicographic order: noncontextual."""
+    lam = global_section_space(scen)
+    total = sum(weights)
+    tables = {ctx: {} for ctx in scen.maximal_contexts}
+    for g, w in zip(lam, weights, strict=True):
+        for ctx in scen.maximal_contexts:
+            sec = restrict(g, ctx)
+            tables[ctx][sec] = tables[ctx].get(sec, 0) + F(w, total)
+    return new_model(scen, Semiring.RATIONAL, tables)
+
+
+def shift_box_mix():
+    """A 3-cycle of 3-outcome measurements: half a permutation box whose
+    shifts do not cancel, half uniform noise."""
+    scen = new_scenario(
+        ["A", "B", "C"], [{"A", "B"}, {"B", "C"}, {"A", "C"}],
+        {m: ["0", "1", "2"] for m in "ABC"},
+    )
+    supports = _shift_supports(scen, [1, 0, 0])
+    return new_model(scen, Semiring.RATIONAL, {
+        ctx: {
+            sec: F(1, 18) + (F(1, 6) if sec in supports[ctx] else 0)
+            for sec in sections(scen, ctx)
+        }
+        for ctx in scen.maximal_contexts
+    })
+
+
+def mixed_arity_model():
+    """Outcome counts 3, 2, 3, 2 and a context of three measurements."""
+    scen = new_scenario(
+        ["A", "B", "C", "D"], [{"A", "B", "C"}, {"C", "D"}, {"A", "D"}],
+        {"A": ["0", "1", "2"], "B": ["0", "1"], "C": ["x", "y", "z"],
+         "D": ["0", "1"]},
+    )
+    return pushforward_model(scen, [1 + (7 * k) % 5 for k in range(36)])
+
+
+@pytest.mark.parametrize("make", [shift_box_mix, mixed_arity_model])
+def test_ncf_lp_columns_beyond_binary_cycles(make, monkeypatch):
+    model = make()
+    lps = []
+    monkeypatch.setattr(
+        epimodal.ratlp, "solve",
+        lambda lp, trace=None: lps.append(lp) or ratlp_solve(lp),
+    )
+    solution = noncontextual_fraction_certified(model)
+    objective, rows, bounds = restrict_comprehension_lp(model)
+    (lp,) = lps
+    assert lp == LinearProgram.build(objective, rows, bounds)
+    assert lp.rows == tuple(
+        tuple((j, a) for j, a in enumerate(row) if a) for row in rows
+    )
+    assert 0 < solution.value <= 1
+    assert (solution.value == 1) == (make is mixed_arity_model)
+
+
+def test_ncf_lp_of_a_10_cycle_builds_no_section_per_assignment(monkeypatch):
+    model = noisy_cycle_model([F(1, 10)] * 10)
+    made = []
+    post_init = Section.__post_init__
+    monkeypatch.setattr(
+        Section, "__post_init__", lambda self: made.append(self) or post_init(self)
+    )
+    solution = noncontextual_fraction_certified(model)
+    assert solution.value == F(1, 2)
+    assert 0 < len(made) < 2 ** 10
+
+
 @pytest.mark.parametrize("noise", [F(1, 3), F(1, 10)])
 @pytest.mark.parametrize("n", range(8, 12))
 def test_ncf_closed_form_on_noisy_cycles(n, noise):

@@ -30,6 +30,32 @@ def remainders(lp: LinearProgram, x) -> tuple[Fraction, ...]:
     )
 
 
+def verify_certificate_by_rows(lp: LinearProgram, x, s, y, value) -> None:
+    """The checks of ``ratlp._verify_certificate``, in the same order and
+    with the same messages, row by row over ``lp.rows`` in ``Fraction``s:
+    a second route to its verdict."""
+    primal = {j: v for j, v in enumerate(x) if v}
+    for row, bound, slack in zip(lp.rows, lp.bounds, s, strict=True):
+        rest = bound - sum(a * primal[j] for j, a in row if j in primal)
+        if rest < 0:
+            raise Malformed("internal: primal point violates a constraint")
+        if rest != slack:
+            raise Malformed("internal: slack is not bounds - rows.point")
+    if any(v < 0 for v in x) or any(w < 0 for w in y):
+        raise Malformed("internal: certificate has a negative component")
+    priced = [F(0)] * len(lp.objective)
+    for w, row in zip(y, lp.rows):
+        for j, a in row:
+            priced[j] += w * a
+    if any(p < c for p, c in zip(priced, lp.objective)):
+        raise Malformed("internal: dual point is infeasible")
+    if sum(w * b for w, b in zip(y, lp.bounds)) != value:
+        raise Malformed("internal: strong duality does not hold")
+
+
+CERTIFICATE_CHECKS = [_verify_certificate, verify_certificate_by_rows]
+
+
 def solved(lp: LinearProgram, trace=None):
     """``solve``, with the returned slack checked against u - A.x."""
     sol = solve(lp, trace=trace)
@@ -384,9 +410,8 @@ CERTIFIED = LinearProgram.build([1, 1], [[1, 1], [1, 0]], [1, F(1, 2)])
 
 
 def test_verify_certificate_accepts_the_optimum():
-    _verify_certificate(
-        CERTIFIED, [F(1, 2), F(1, 2)], (F(0), F(0)), (F(1), F(0)), F(1)
-    )
+    for check in CERTIFICATE_CHECKS:
+        check(CERTIFIED, [F(1, 2), F(1, 2)], (F(0), F(0)), (F(1), F(0)), F(1))
 
 
 @pytest.mark.parametrize("x,y,value,message", [
@@ -398,8 +423,9 @@ def test_verify_certificate_accepts_the_optimum():
 ])
 def test_verify_certificate_rejects(x, y, value, message):
     # the slack is u - A.x, so only the other fields are corrupted
-    with pytest.raises(Malformed, match=message):
-        _verify_certificate(CERTIFIED, x, remainders(CERTIFIED, x), y, value)
+    for check in CERTIFICATE_CHECKS:
+        with pytest.raises(Malformed, match=message):
+            check(CERTIFIED, x, remainders(CERTIFIED, x), y, value)
 
 
 @pytest.mark.parametrize("x,s,message", [
@@ -410,5 +436,117 @@ def test_verify_certificate_rejects(x, y, value, message):
 ])
 def test_verify_certificate_rejects_a_bad_slack(x, s, message):
     assert (s == remainders(CERTIFIED, x)) == (message != "slack is not")
+    for check in CERTIFICATE_CHECKS:
+        with pytest.raises(Malformed, match=message):
+            check(CERTIFIED, x, s, (F(1), F(0)), F(1))
+
+
+def perturbed_certificates(lp: LinearProgram, x, s, y, value):
+    """One corrupted copy of the optimum (x, s, y, value) per message of
+    the certificate check, for each message the LP allows."""
+    out = {}
+    a = dense_rows(lp)
+    hit = next(
+        ((i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v > 0),
+        None,
+    )
+    if hit is not None:
+        # x_j grows until row i is short by 1; the slack stays u - A.x
+        i, j = hit
+        bad = list(x)
+        bad[j] += (s[i] + 1) / a[i][j]
+        out["violates a constraint"] = (bad, remainders(lp, bad), y, value)
+    if s:
+        out["slack is not"] = (x, (s[0] + 1, *s[1:]), y, value)
+        out["negative component"] = (x, s, (F(-1), *y[1:]), value)
+    elif x:
+        out["negative component"] = ([F(-1), *x[1:]], s, y, value)
+    if any(c > 0 for c in lp.objective):
+        out["dual point is infeasible"] = (x, s, (F(0),) * len(y), value)
+    out["strong duality"] = (x, s, y, value + 1)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=5),
+    st.data(),
+)
+def test_certificate_checks_agree_with_the_row_wise_oracle(n, m, data):
+    rows = [[data.draw(signed_entry) for _ in range(n)] for _ in range(m)]
+    if m:
+        for i in data.draw(st.sets(st.integers(0, m - 1))):
+            rows[i] = [F(0)] * n  # an empty row
+    for j in data.draw(st.sets(st.integers(0, n - 1))):
+        for row in rows:
+            row[j] = F(0)  # an all-zero column
+    lp = LinearProgram.build(
+        [data.draw(signed_entry) for _ in range(n)],
+        rows,
+        [data.draw(bound_entry) for _ in range(m)],
+    )
+    try:
+        sol = solved(lp)
+    except Unbounded:
+        return
+    optimum = (list(sol.point), sol.slack, sol.dual_point, sol.value)
+    for check in CERTIFICATE_CHECKS:
+        check(lp, *optimum)
+    for message, certificate in perturbed_certificates(lp, *optimum).items():
+        for check in CERTIFICATE_CHECKS:
+            with pytest.raises(Malformed, match=message):
+                check(lp, *certificate)
+
+
+def test_value_is_a_fraction_when_no_column_is_nonzero():
+    sol = solve(LinearProgram.build([1, 1], [[1, 1]], [0]))
+    assert sol.point == (0, 0)
+    assert sol.value == 0 and type(sol.value) is F
+    strong = noncontextual_fraction_certified(noisy_cycle_model([F(0)] * 5))
+    assert strong.value == 0 and type(strong.value) is F
+
+
+def test_build_stores_integer_columns_over_the_least_denominator():
+    lp = LinearProgram.build(
+        [1, F(1, 2), 0],
+        [[F(1, 2), 0, F(-1, 3)], {0: F(1, 3), 2: F(-1, 3)}, [0, 0, 0]],
+        [1, 2, 0],
+    )
+    assert lp.den == 6
+    # column j: ((a, rows), ...), one group per value, by first row
+    assert lp.columns == (((3, (0,)), (2, (1,))), (), ((-2, (0, 1)),))
+    assert lp.rows == (
+        ((0, F(1, 2)), (2, F(-1, 3))), ((0, F(1, 3)), (2, F(-1, 3))), ()
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=5),
+    st.data(),
+)
+def test_rows_round_trip_build(n, m, data):
+    c = [data.draw(signed_entry) for _ in range(n)]
+    rows = [[data.draw(signed_entry) for _ in range(n)] for _ in range(m)]
+    bounds = [data.draw(bound_entry) for _ in range(m)]
+    lp = LinearProgram.build(c, rows, bounds)
+    assert lp.rows == tuple(
+        tuple((j, a) for j, a in enumerate(row) if a) for row in rows
+    )
+    assert dense_rows(lp) == rows
+    assert LinearProgram.build(c, [dict(row) for row in lp.rows], bounds) == lp
+
+
+@pytest.mark.parametrize("fields,message", [
+    # (objective, bounds, columns, den)
+    (((F(1),), (F(1),), (), 1), "column count"),
+    (((F(1),), (F(1),), (((1, (0,)),),), 0), "denominator"),
+    (((F(1),), (F(1),), (((1, (1,)),),), 1), "row/bound count"),
+    (((F(1),), (F(1),), (((1, (-1, 0)),),), 1), "row/bound count"),
+    (((F(1),), (F(-1),), (((1, (0,)),),), 1), "negative bound"),
+])
+def test_every_linear_program_is_checked(fields, message):
     with pytest.raises(Malformed, match=message):
-        _verify_certificate(CERTIFIED, x, s, (F(1), F(0)), F(1))
+        LinearProgram(*fields)
