@@ -64,10 +64,8 @@ def show(model, name):
             )
     try:
         scenario = translate(model)
-        mutual = soundness_violations(scenario, model, WorldBasis.MUTUAL)
-        distributed = soundness_violations(
-            scenario, model, WorldBasis.DISTRIBUTED
-        )
+        mutual = soundness_violations(scenario, WorldBasis.MUTUAL)
+        distributed = soundness_violations(scenario, WorldBasis.DISTRIBUTED)
         mutual_worlds = math.prod(len(o) for o in scenario.outcomes)
         print(
             f"  worlds: {mutual_worlds} mutual, "

@@ -149,7 +149,7 @@ def build_wigner_model(
     """
     # written so that a NaN amplitude fails the check too
     if not abs(alpha * alpha + beta * beta - 1.0) <= SNAP_TOLERANCE:
-        raise NotNormalized(f"alpha^2 + beta^2 = {alpha**2 + beta**2}")
+        raise NotNormalized(f"alpha^2 + beta^2 = {alpha * alpha + beta * beta}")
     p0 = snap(alpha * alpha)
     p1 = 1 - p0
     if compatible:

@@ -55,13 +55,20 @@ EXIT_BY_LEVEL = {
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
+def _read(path: str) -> str:
+    try:  # UTF-8 whatever the locale
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise jsonio.ParseError(f"{path} is not UTF-8: {exc}") from None
+
+
 def _load_model(path: str) -> EmpiricalModel:
-    return jsonio.model_from_json(Path(path).read_text())
+    return jsonio.model_from_json(_read(path))
 
 
 def cycle_order(model: EmpiricalModel) -> list[str] | None:
@@ -154,18 +161,11 @@ def analysis_report(model: EmpiricalModel) -> dict:
         scenario = translate(model)
         obj["translation"] = jsonio.translation_to_obj(scenario)
         obj["soundness"] = {
-            "mutual": [
+            basis.value: [
                 [",".join(ctx), sec.key()]
-                for ctx, sec in soundness_violations(
-                    scenario, model, WorldBasis.MUTUAL
-                )
-            ],
-            "distributed": [
-                [",".join(ctx), sec.key()]
-                for ctx, sec in soundness_violations(
-                    scenario, model, WorldBasis.DISTRIBUTED
-                )
-            ],
+                for ctx, sec in soundness_violations(scenario, basis)
+            ]
+            for basis in WorldBasis
         }
     except EpimodalError as exc:
         obj["translation"] = {"error": str(exc)}
@@ -262,7 +262,7 @@ def _split_agents(text: str) -> list[str]:
 
 
 def _cmd_modal(args) -> int:
-    model = jsonio.topomodel_from_json(Path(args.model).read_text())
+    model = jsonio.topomodel_from_json(_read(args.model))
     if args.modal_command == "eval":
         formula = parse_formula(args.formula)
         worlds = eval_formula(model, formula)

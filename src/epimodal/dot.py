@@ -25,6 +25,7 @@ from .empirical import (
     require_no_disturbance,
     support,
 )
+from .errors import UnquotableId
 
 
 def _node(measurement: str, outcome: str) -> str:
@@ -33,9 +34,19 @@ def _node(measurement: str, outcome: str) -> str:
 
 def bundle_dot(model: EmpiricalModel) -> str:
     """Render the possibilistic bundle of a non-disturbing model."""
+    scen = model.scenario
+    # DOT reads \" in a quoted string as an escaped quote, so an id ending
+    # in a backslash has no quoted form: such ids are refused, not escaped
+    ids = [("measurement", m) for m in scen.measurements]
+    ids += [("outcome", o) for m in scen.measurements for o in scen.outcomes[m]]
+    for kind, name in ids:
+        if any(c in name for c in '"\\\n\r'):
+            raise UnquotableId(
+                f"{kind} id {name!r} cannot be written as DOT: it holds a "
+                "quote, a backslash or a line break"
+            )
     require_no_disturbance(model)
     report = classify(possibilistic_collapse(model))
-    scen = model.scenario
     pair_contexts = [c for c in scen.maximal_contexts if len(c) == 2]
 
     if report.level is HierarchyLevel.STRONGLY_CONTEXTUAL and pair_contexts:

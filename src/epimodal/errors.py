@@ -139,6 +139,12 @@ class SnapFailure(BuilderError):
         super().__init__(f"{value!r} is not within tolerance of {closest}")
 
 
+# -- diagrams ----------------------------------------------------------------
+
+class UnquotableId(EpimodalError):
+    """A measurement or outcome id that no DOT quoted string can hold."""
+
+
 # -- modal logic -------------------------------------------------------------
 
 class ModalError(EpimodalError):
@@ -198,7 +204,3 @@ class TrustPreconditionFailed(ModalError):
 
 class Disconnected(ModalError):
     """Translation needs a connected measurement scenario."""
-
-
-class Mismatch(ModalError):
-    """The multi-agent scenario was not derived from the given model."""

@@ -21,8 +21,9 @@ every context, the phi_s of some supported s; and a supported s is a
 violation iff no consistent world satisfies phi_s.
 
 With distributed-knowledge worlds every supported local event is itself a
-world, so no violation survives; the price is that worlds now carry their
-context (lambda-dependence).
+world, so no violation survives, by construction; the price is that worlds
+now carry their context (lambda-dependence).  Soundness reads only the
+translation, never the model.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 from .. import scenario as sc
 from ..empirical import EmpiricalModel, require_no_disturbance, support
-from ..errors import Disconnected, Mismatch
+from ..errors import Disconnected
 from ..scenario import Context, GlobalSection, Section
 
 
@@ -43,8 +44,7 @@ class MultiAgentScenario:
     """Agents, trust pairs and the two world bases of a translated model.
 
     ``outcomes`` holds one outcome tuple per agent, in agent order; the
-    mutual worlds are derived from it, so equal fields mean equal world
-    bases.
+    mutual worlds are derived from it.
     """
 
     agents: tuple[str, ...]
@@ -77,7 +77,8 @@ def translate(model: EmpiricalModel) -> MultiAgentScenario:
     common maximal context (trust within a context is an equivalence).
     Mutual worlds are all global outcome assignments (derived from the
     stored outcomes, not enumerated here); distributed worlds are the
-    supported sections, indexed by their maximal context.
+    supported sections, indexed by their maximal context, in maximal
+    context order and by values within a context.
     """
     require_no_disturbance(model)
     scen = model.scenario
@@ -133,50 +134,33 @@ def _outcome_masks(
 
 
 def soundness_violations(
-    scenario: MultiAgentScenario,
-    model: EmpiricalModel,
-    worlds: WorldBasis,
+    scenario: MultiAgentScenario, worlds: WorldBasis
 ) -> list[tuple[Context, Section]]:
-    """Supported local events not entailed by any world consistent with m.
+    """Supported local events not entailed by any world consistent with the
+    model, read off its translation alone.
 
-    MUTUAL: a world is consistent when each of its context restrictions is
-    supported; a supported event with no consistent world above it is a
-    violation.  Both are decided on bitmasks over the mutual worlds (see
-    the module docstring), which are never listed.  DISTRIBUTED: each
-    supported event is itself a world, so the computation returns an empty
-    list for every non-disturbing model.
+    The supported events are ``scenario.distributed_worlds``, in context
+    order and by values within a context.  MUTUAL: decided on bitmasks over
+    the mutual worlds (see the module docstring), which are never listed.
+    It needs a supported event in every maximal context, which
+    ``new_model``'s normalisation guarantees and ``possibilistic_collapse``
+    keeps.  DISTRIBUTED: each supported event is itself a world, so the
+    list is empty by construction.
     """
-    if scenario != translate(model):
-        raise Mismatch("scenario was not derived from this model")
-    supports = {
-        ctx: support(model, ctx) for ctx in model.scenario.maximal_contexts
-    }
-    violations = []
-    if worlds is WorldBasis.MUTUAL:
-        contexts = model.scenario.maximal_contexts
-        masks = _outcome_masks(scenario.outcomes)
-        position = {m: i for i, m in enumerate(scenario.agents)}
-
-        def phi(ctx, section):
-            mask = -1  # every world
-            for m, o in zip(ctx, section.values):
-                mask &= masks[position[m]][o]
-            return mask
-
-        consistent = -1
-        for ctx in contexts:
-            union = 0
-            for section in supports[ctx]:
-                union |= phi(ctx, section)
-            consistent &= union
-        for ctx in contexts:
-            for section in sorted(supports[ctx], key=lambda s: s.values):
-                if not consistent & phi(ctx, section):
-                    violations.append((ctx, section))
-    else:
-        available = set(scenario.distributed_worlds)
-        for ctx in model.scenario.maximal_contexts:
-            for section in sorted(supports[ctx], key=lambda s: s.values):
-                if (ctx, section) not in available:
-                    violations.append((ctx, section))
-    return violations
+    if worlds is WorldBasis.DISTRIBUTED:
+        return []
+    masks = _outcome_masks(scenario.outcomes)
+    position = {m: i for i, m in enumerate(scenario.agents)}
+    events = scenario.distributed_worlds
+    phis = []
+    unions: dict[Context, int] = {}
+    for ctx, section in events:
+        phi = -1  # every world
+        for m, o in zip(ctx, section.values):
+            phi &= masks[position[m]][o]
+        phis.append(phi)
+        unions[ctx] = unions.get(ctx, 0) | phi
+    consistent = -1
+    for union in unions.values():
+        consistent &= union
+    return [e for e, phi in zip(events, phis) if not consistent & phi]

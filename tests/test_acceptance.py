@@ -343,11 +343,9 @@ def test_criterion_9_soundness_equals_contextuality(fr_model, pr_model):
         if not is_connected(model.scenario):
             continue
         scenario = translate(model)
-        mutual = soundness_violations(scenario, model, WorldBasis.MUTUAL)
+        mutual = soundness_violations(scenario, WorldBasis.MUTUAL)
         assert set(mutual) == set(classify(model).non_extendable)
-        assert soundness_violations(
-            scenario, model, WorldBasis.DISTRIBUTED
-        ) == []
+        assert soundness_violations(scenario, WorldBasis.DISTRIBUTED) == []
 
 
 def test_criterion_10_cli_golden_files(tmp_path):

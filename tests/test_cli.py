@@ -1,3 +1,4 @@
+import importlib
 import json
 import pathlib
 from fractions import Fraction
@@ -16,6 +17,8 @@ from epimodal.modal import MultiAgentScenario, translate
 from model_random import noisy_cycle_model
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+# the module: the package's attribute of that name is the function
+TRANSLATE = importlib.import_module("epimodal.modal.translate")
 
 
 def run(args, tmp_path, name="out"):
@@ -81,6 +84,16 @@ def test_builtin_wigner_rejects_non_finite_amplitudes(
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("option", ["--alpha", "--beta"])
+def test_builtin_wigner_rejects_overflowing_amplitudes(tmp_path, capsys, option):
+    # 1e200 squared is inf as a product and an OverflowError as a power
+    code, body = run(
+        ["builtin", "wigner-compat", option, "1e200"], tmp_path, "model.json"
+    )
+    assert (code, body) == (2, b"")
+    assert_one_line_error(capsys, "alpha^2 + beta^2 = inf")
+
+
 def test_bundle_golden_and_red_edges(tmp_path):
     for name, golden, reds in (("fr", "fr_bundle.dot", 1),
                                ("pr", "pr_bundle.dot", 2)):
@@ -120,6 +133,70 @@ def test_bundle_never_solves_the_lp(fr_model, monkeypatch):
     # probabilistically contextual, but its full support paints nothing red
     noisy = noisy_cycle_model([Fraction(1, 3)] * 5)
     assert "color=red" not in bundle_dot(noisy)
+
+
+def write_pair_model(tmp_path, a="A", b="B", outcome="1"):
+    """One context of two binary measurements, perfectly correlated; the
+    ids are given, and A's second outcome is ``outcome``."""
+    scen = new_scenario([a, b], [{a, b}], {a: ["0", outcome], b: ["0", "1"]})
+    model = new_model(scen, Semiring.BOOLEAN, {
+        scen.maximal_contexts[0]: {
+            scen.section({a: "0", b: "0"}): 1,
+            scen.section({a: outcome, b: "1"}): 1,
+        },
+    })
+    path = tmp_path / "pair.json"
+    path.write_text(model_to_json(model), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("ids,named", [
+    ({"a": 'A"x', "b": "B\\"}, "measurement id 'A\"x'"),
+    ({"b": "B\\"}, "measurement id 'B\\\\'"),
+    ({"a": "A\nB"}, "measurement id 'A\\nB'"),
+    ({"outcome": "1\r"}, "outcome id '1\\r'"),
+    ({"outcome": '"'}, "outcome id '\"'"),
+])
+def test_bundle_rejects_ids_dot_cannot_quote(tmp_path, capsys, ids, named):
+    path = write_pair_model(tmp_path, **ids)
+    code, body = run(["bundle", path], tmp_path, "b.dot")
+    assert (code, body) == (2, b"")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named} cannot be written as DOT")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    # the JSON commands escape such ids
+    assert main(["translate", path]) == 0
+    assert main(["analyze", path]) == 0
+
+
+def test_bundle_writes_non_ascii_ids_as_utf8(tmp_path):
+    path = write_pair_model(tmp_path, a="Ä", outcome="ü")
+    code, body = run(["bundle", path], tmp_path, "b.dot")
+    assert code == 0
+    assert '"Ä:ü" [xlabel="ü"];' in body.decode("utf-8")
+
+
+@pytest.mark.parametrize("data", [
+    b'\xff\xfe{"a":1}',  # a UTF-16 byte order mark
+    '{"worlds": ["\u00e4"]}'.encode("latin-1"),
+    '{"worlds": ["\u00e4"]}'.encode("utf-8")[:-4],  # a cut multi-byte sequence
+], ids=["utf-16", "latin-1", "cut"])
+@pytest.mark.parametrize("argv", [
+    ["analyze"],
+    ["bundle"],
+    ["translate"],
+    ["modal", "eval", "-f", "p"],
+    ["modal", "trust", "--truster", "a", "--trusted", "a"],
+    ["modal", "axioms"],
+    ["modal", "truth"],
+])
+def test_input_that_is_not_utf8_exit_2(tmp_path, capsys, data, argv):
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    assert main([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not UTF-8: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_translate_command(tmp_path):
@@ -225,6 +302,7 @@ def test_analyze_runs_each_stage_once(fr_model, monkeypatch):
         "global_sections": 0,
         "global_section_space": 0,
         "collapse_rational": 0,
+        "translate": 0,
     }
 
     def counting(name, fn):
@@ -253,6 +331,10 @@ def test_analyze_runs_each_stage_once(fr_model, monkeypatch):
     )
     monkeypatch.setattr(epimodal.contextuality, "possibilistic_collapse", collapse)
     monkeypatch.setattr(epimodal.cli, "possibilistic_collapse", collapse)
+    # soundness reads the one translation, through either lookup site
+    counted_translate = counting("translate", translate)
+    monkeypatch.setattr(epimodal.cli, "translate", counted_translate)
+    monkeypatch.setattr(TRANSLATE, "translate", counted_translate)
     analysis_report(fr_model)
     # the space is never built: the LP's columns come from outcome tuples,
     # the decomposition reads the LP's slack and translate enumerates
@@ -263,6 +345,7 @@ def test_analyze_runs_each_stage_once(fr_model, monkeypatch):
         "global_sections": 1,
         "global_section_space": 0,
         "collapse_rational": 2,
+        "translate": 1,
     }
 
 

@@ -5,7 +5,9 @@ applies one to three mutations (drop a key, swap a list, string, number or
 object for another type, change the arity of a cell key, write a bad cell)
 and runs ``analyze``, ``translate`` and ``bundle`` in process.  Every run
 must end in a documented exit code without a traceback, and a file whose
-JSON types break the documented model shape must exit 2.
+JSON types break the documented model shape must exit 2.  Byte-level
+mutations (bytes that are not UTF-8, a byte order mark, a cut multi-byte
+sequence, a NUL) also go through ``modal truth``, and must exit 2.
 """
 
 import contextlib
@@ -100,3 +102,34 @@ def test_cli_survives_mutated_models(obj):
             assert "Traceback" not in err.getvalue()
             if not well_typed(obj):
                 assert code == 2, (command, code, obj)
+
+
+# each takes the file's bytes and a position in them
+BYTE_MUTATIONS = {
+    "not UTF-8": lambda data, at: data[:at] + b"\xff" + data[at:],
+    "UTF-16 BOM": lambda data, at: b"\xff\xfe" + data,
+    "UTF-8 BOM": lambda data, at: b"\xef\xbb\xbf" + data,
+    "cut multi-byte": lambda data, at: data[:at] + "\u20ac".encode()[:2] + data[at:],
+    "NUL": lambda data, at: data[:at] + b"\x00" + data[at:],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(BASES),
+    st.sampled_from(sorted(BYTE_MUTATIONS)),
+    st.floats(0, 1),
+)
+def test_cli_survives_mutated_bytes(obj, kind, where):
+    data = json.dumps(obj).encode()
+    data = BYTE_MUTATIONS[kind](data, int(where * len(data)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_bytes(data)
+        for argv in (["analyze"], ["translate"], ["bundle"], ["modal", "truth"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, str(path)])
+            assert code == 2, (argv, kind, code)
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1

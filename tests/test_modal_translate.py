@@ -1,3 +1,4 @@
+import importlib
 import itertools
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ import epimodal.contextuality
 import epimodal.scenario
 from epimodal import (
     Semiring,
+    build_fr_model,
+    build_pr_model,
     build_wigner_model,
     check_no_disturbance,
     classify,
@@ -17,15 +20,18 @@ from epimodal import (
     new_scenario,
     possibilistic_collapse,
     support,
+    uniform_rational_lift,
 )
-from epimodal.errors import Disconnected, DisturbingModel, Mismatch
-from epimodal.jsonio import translation_to_obj
+from epimodal.errors import Disconnected, DisturbingModel
+from epimodal.jsonio import model_from_json, model_to_json, translation_to_obj
 from epimodal.modal import WorldBasis, soundness_violations, translate
 from epimodal.modal.translate import _outcome_masks
 from epimodal.scenario import Section
-from model_random import random_boolean_models
+from model_random import noisy_cycle_model, random_boolean_models
 
 F = Fraction
+# the module: the package's attribute of that name is the function
+TRANSLATE = importlib.import_module("epimodal.modal.translate")
 
 
 def mutual_violations_brute_force(model):
@@ -112,104 +118,63 @@ def test_translate_requires_no_disturbance():
 
 def test_soundness_violations_fr(fr_model):
     t = translate(fr_model)
-    mutual = soundness_violations(t, fr_model, WorldBasis.MUTUAL)
+    mutual = soundness_violations(t, WorldBasis.MUTUAL)
     assert [(ctx, sec.key()) for ctx, sec in mutual] == [(("U", "W"), "1,1")]
-    assert soundness_violations(t, fr_model, WorldBasis.DISTRIBUTED) == []
+    assert soundness_violations(t, WorldBasis.DISTRIBUTED) == []
 
 
 def test_soundness_violations_pr(pr_model):
     t = translate(pr_model)
-    mutual = soundness_violations(t, pr_model, WorldBasis.MUTUAL)
+    mutual = soundness_violations(t, WorldBasis.MUTUAL)
     supported = [
         (ctx, sec)
         for ctx in pr_model.scenario.maximal_contexts
         for sec in sorted(support(pr_model, ctx), key=lambda s: s.values)
     ]
     assert mutual == supported  # every supported local event violates
-    assert soundness_violations(t, pr_model, WorldBasis.DISTRIBUTED) == []
+    assert soundness_violations(t, WorldBasis.DISTRIBUTED) == []
 
 
 def test_soundness_violations_match_classifier(fr_model, pr_model):
     for model in (fr_model, pr_model):
         t = translate(model)
         mutual = set(
-            map(tuple, soundness_violations(t, model, WorldBasis.MUTUAL))
+            map(tuple, soundness_violations(t, WorldBasis.MUTUAL))
         )
         assert mutual == set(classify(model).non_extendable)
 
 
-def test_mutual_soundness_is_independent_of_the_classifier(
-    fr_model, pr_model, monkeypatch
-):
-    # criterion 9 compares soundness_violations with classify: the mutual
-    # route must not reach the classifier's enumeration or image sets
-    def unreachable(*args, **kwargs):
-        raise AssertionError("soundness_violations reached the classifier")
+def soundness_from_the_translation_alone(models):
+    """MUTUAL violations of each model, decided after all of them are
+    translated, with translating, reading a support and the classifier's
+    enumeration and image sets all made unreachable."""
+    scenarios = [translate(model) for model in models]
 
+    def unreachable(*args, **kwargs):
+        raise AssertionError("soundness_violations read more than the translation")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, name in (
+            (TRANSLATE, "translate"),
+            (TRANSLATE, "support"),
+            (epimodal.contextuality, "global_sections"),
+            (epimodal.contextuality, "_non_extendable"),
+        ):
+            patch.setattr(owner, name, unreachable)
+        return [soundness_violations(t, WorldBasis.MUTUAL) for t in scenarios]
+
+
+def test_mutual_soundness_is_independent_of_the_classifier(fr_model, pr_model):
+    # criterion 9 compares soundness_violations with classify: the mutual
+    # route must not reach the classifier, nor the model behind the
+    # translation
     models = [
         m for m in random_boolean_models(7, 120)
         if is_connected(m.scenario) and len(m.scenario.measurements) <= 8
     ] + [fr_model, pr_model]
-    monkeypatch.setattr(epimodal.contextuality, "global_sections", unreachable)
-    monkeypatch.setattr(epimodal.contextuality, "_non_extendable", unreachable)
-    violating = 0
-    for model in models:
-        mutual = soundness_violations(translate(model), model, WorldBasis.MUTUAL)
-        assert mutual == mutual_violations_brute_force(model)
-        violating += bool(mutual)
-    assert 0 < violating < len(models)
-
-
-def test_soundness_mismatch(fr_model, pr_model):
-    t = translate(fr_model)
-    with pytest.raises(Mismatch):
-        soundness_violations(t, pr_model, WorldBasis.MUTUAL)
-
-
-def chain_model(a_outcomes, ab_tables):
-    """A-B-C chain with B and C binary and perfectly correlated B, C."""
-    scen = new_scenario(
-        ["A", "B", "C"], [{"A", "B"}, {"B", "C"}],
-        {"A": a_outcomes, "B": ["0", "1"], "C": ["0", "1"]},
-    )
-    return new_model(scen, Semiring.RATIONAL, {
-        ("A", "B"): ab_tables,
-        ("B", "C"): {"0,0": F(1, 2), "1,1": F(1, 2)},
-    })
-
-
-def test_soundness_mismatch_on_the_same_scenario(fr_model):
-    # same scenario, full support instead of FR's three zero cells
-    uniform = new_model(fr_model.scenario, Semiring.RATIONAL, {
-        ctx: {sec.key(): F(1, 4) for sec in table}
-        for ctx, table in fr_model.tables.items()
-    })
-    for basis in WorldBasis:
-        with pytest.raises(Mismatch):
-            soundness_violations(translate(fr_model), uniform, basis)
-
-
-def test_soundness_mismatch_on_a_relabelled_unsupported_outcome():
-    # A's outcome "2" is never supported; relabelling it keeps every
-    # support, trust pair and world count but changes the mutual worlds
-    correlated = {"0,0": F(1, 2), "1,1": F(1, 2)}
-    model = chain_model(["0", "1", "2"], correlated)
-    relabelled = chain_model(["0", "1", "3"], correlated)
-    t = translate(model)
-    assert t.distributed_worlds == translate(relabelled).distributed_worlds
-    assert len(t.mutual_worlds) == len(translate(relabelled).mutual_worlds)
-    for basis in WorldBasis:
-        with pytest.raises(Mismatch):
-            soundness_violations(t, relabelled, basis)
-
-
-def test_soundness_disturbing_model_with_a_matching_scenario():
-    model = chain_model(["0", "1"], {"0,0": F(1, 2), "1,1": F(1, 2)})
-    disturbing = chain_model(["0", "1"], {"0,0": F(1, 3), "1,1": F(2, 3)})
-    t = translate(model)
-    for basis in WorldBasis:
-        with pytest.raises(DisturbingModel):
-            soundness_violations(t, disturbing, basis)
+    expected = [mutual_violations_brute_force(model) for model in models]
+    assert soundness_from_the_translation_alone(models) == expected
+    assert 0 < sum(map(bool, expected)) < len(models)
 
 
 def test_mutual_worlds_are_derived_from_outcomes(fr_model, monkeypatch):
@@ -328,9 +293,45 @@ def test_mutual_masks_beyond_binary_outcomes(model):
             assert mask == sum(
                 1 << w for w, values in enumerate(worlds) if values[i] == o
             )
-    mutual = soundness_violations(t, model, WorldBasis.MUTUAL)
+    mutual = soundness_violations(t, WorldBasis.MUTUAL)
     assert mutual == mutual_violations_brute_force(model)
     assert set(map(tuple, mutual)) == set(classify(model).non_extendable)
     assert translation_to_obj(t)["mutual_worlds"] == [
         g.key() for g in t.mutual_worlds
     ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_boolean_models())
+def test_mutual_soundness_reads_only_the_translation(model):
+    assert soundness_from_the_translation_alone([model]) == [
+        mutual_violations_brute_force(model)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    connected_boolean_models(),
+    st.sampled_from([
+        build_fr_model(),
+        build_pr_model(),
+        noisy_cycle_model([F(1, 3), F(1, 5), 0, F(1, 2), F(1, 7)], odd_at=2),
+    ]),
+))
+def test_every_context_has_a_distributed_world(model):
+    # soundness_violations reads the supported events of a context only
+    # from distributed_worlds, so none may be missing, and their order is
+    # the order of its violations
+    variants = [
+        model,
+        possibilistic_collapse(model),
+        model_from_json(model_to_json(model)),
+    ]
+    lift = uniform_rational_lift(model)
+    if check_no_disturbance(lift).holds:
+        variants.append(lift)
+    for variant in variants:
+        contexts = [ctx for ctx, _ in translate(variant).distributed_worlds]
+        assert [ctx for ctx, _ in itertools.groupby(contexts)] == list(
+            variant.scenario.maximal_contexts
+        )
