@@ -15,7 +15,7 @@ import pathlib
 import runpy
 import sys
 
-from epimodal.cli import main
+from epimodal.cli import EXIT_BY_LEVEL, main
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent
 GOLDEN = SCRIPTS.parent / "tests" / "golden"
@@ -45,10 +45,12 @@ def run():
         code = main(["builtin", name, "--out", str(GOLDEN / filename)])
         assert code == 0, (name, code)
     for name, filename in REPORTS.items():
-        main([
+        # a failing analyze writes nothing and would leave an old report
+        code = main([
             "analyze", str(GOLDEN / MODELS[name]),
             "--out", str(GOLDEN / filename),
         ])
+        assert code in EXIT_BY_LEVEL.values(), (name, code)
     for name, filename in BUNDLES.items():
         code = main([
             "bundle", str(GOLDEN / MODELS[name]),

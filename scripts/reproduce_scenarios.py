@@ -1,27 +1,26 @@
 #!/usr/bin/env python3
 """Walk through the three built-in multi-agent scenarios end to end.
 
-For each: print the probability tables, the no-disturbance verdict, the
+For each: print the probability tables, then, from the CLI's report
+(``epimodal.cli.analysis_report``), the no-disturbance verdict, the
 contextuality classification with its witnesses, the noncontextual
-fraction and decomposition where defined, the epistemic translation, and
-the forced-inference chain around the cycle when one exists.
+fraction, the world and soundness-violation counts of the epistemic
+translation, and the forced-inference chain around the cycle when one
+exists.  Where the model splits into a noncontextual and a residual part,
+the residual is classified as well.
 """
 
-import math
 from fractions import Fraction
 
 from epimodal import (
     build_fr_model,
     build_pr_model,
     build_wigner_model,
-    check_no_disturbance,
     classify,
     noncontextual_decomposition,
     support,
 )
-from epimodal.cli import _liar_obj
-from epimodal.errors import Disconnected
-from epimodal.modal import WorldBasis, soundness_violations, translate
+from epimodal.cli import analysis_report
 
 
 def show_tables(model):
@@ -37,23 +36,18 @@ def show_tables(model):
 def show(model, name):
     print(f"== {name} ==")
     show_tables(model)
-    print(f"  non-disturbing: {check_no_disturbance(model).holds}")
-    report = classify(model)
-    print(f"  level: {report.level.label()}")
-    print(f"  global sections: {[g.key() for g in report.global_support]}")
-    if report.non_extendable:
-        witnesses = [
-            f"{','.join(ctx)}@{sec.key()}"
-            for ctx, sec in report.non_extendable
-        ]
+    obj = analysis_report(model)
+    ctx = obj["contextuality"]
+    print(f"  non-disturbing: {obj['no_disturbance']['holds']}")
+    print(f"  level: {ctx['level']}")
+    print(f"  global sections: {ctx['global_support']}")
+    if ctx["non_extendable"]:
+        witnesses = [f"{c}@{sec}" for c, sec in ctx["non_extendable"]]
         print(f"  non-extendable sections: {witnesses}")
-    if report.noncontextual_fraction is not None:
-        ncf = report.noncontextual_fraction
-        print(f"  noncontextual fraction: {ncf}")
-        if Fraction(0) < ncf < 1:
-            _, _, residual = noncontextual_decomposition(
-                model, report.solution
-            )
+    if ctx["ncf"] is not None:
+        print(f"  noncontextual fraction: {ctx['ncf']}")
+        if 0 < Fraction(ctx["ncf"]) < 1:
+            _, _, residual = noncontextual_decomposition(model)
             print(
                 "  residual part is "
                 f"{classify(residual).level.label()} with supports "
@@ -62,23 +56,20 @@ def show(model, name):
                     for c in residual.scenario.maximal_contexts
                 })
             )
-    try:
-        scenario = translate(model)
-        mutual = soundness_violations(scenario, WorldBasis.MUTUAL)
-        distributed = soundness_violations(scenario, WorldBasis.DISTRIBUTED)
-        mutual_worlds = math.prod(len(o) for o in scenario.outcomes)
+    if obj["soundness"] is not None:
+        translation = obj["translation"]
         print(
-            f"  worlds: {mutual_worlds} mutual, "
-            f"{len(scenario.distributed_worlds)} distributed"
+            f"  worlds: {len(translation['mutual_worlds'])} mutual, "
+            f"{len(translation['distributed_worlds'])} distributed"
         )
         print(
             "  soundness violations: "
-            f"{len(mutual)} with mutual worlds, "
-            f"{len(distributed)} with distributed worlds"
+            f"{len(obj['soundness']['mutual'])} with mutual worlds, "
+            f"{len(obj['soundness']['distributed'])} with distributed worlds"
         )
-    except Disconnected:
+    else:  # translation refuses only a disconnected scenario
         print("  translation skipped: disconnected scenario")
-    liar = _liar_obj(model)
+    liar = obj["liar_cycle"]
     if liar is not None:
         if liar["found"]:
             steps = ", then ".join(

@@ -26,12 +26,13 @@ from . import builders, jsonio
 from .contextuality import (
     HierarchyLevel,
     classify,
+    cycle_order,
     liar_cycle_witness,
     noncontextual_decomposition,
 )
 from .dot import bundle_dot
-from .empirical import EmpiricalModel, check_no_disturbance, possibilistic_collapse
-from .errors import DisturbingModel, EpimodalError
+from .empirical import EmpiricalModel, check_no_disturbance
+from .errors import BuilderError, DisturbingModel, EpimodalError
 from .modal import (
     TrustFlavor,
     WorldBasis,
@@ -71,39 +72,6 @@ def _load_model(path: str) -> EmpiricalModel:
     return jsonio.model_from_json(_read(path))
 
 
-def cycle_order(model: EmpiricalModel) -> list[str] | None:
-    """Measurement order around the compatibility cycle, if there is one.
-
-    Requires every maximal context to have two measurements, every
-    measurement to sit in exactly two contexts, and the walk to close into
-    a single cycle through all measurements.
-    """
-    scen = model.scenario
-    if any(len(c) != 2 for c in scen.maximal_contexts):
-        return None
-    if len(scen.measurements) < 3:
-        return None
-    neighbors: dict[str, list[str]] = {m: [] for m in scen.measurements}
-    for a, b in scen.maximal_contexts:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    if any(len(n) != 2 for n in neighbors.values()):
-        return None
-    start = scen.measurements[0]
-    order = [start, sorted(neighbors[start], key=scen.measurements.index)[0]]
-    while True:
-        here, back = order[-1], order[-2]
-        nxt = next(n for n in neighbors[here] if n != back)
-        if nxt == start:
-            break
-        if nxt in order:
-            return None
-        order.append(nxt)
-    if len(order) != len(scen.measurements):
-        return None
-    return order
-
-
 def _liar_obj(model: EmpiricalModel) -> dict | None:
     """The first forced contradiction over every rotation of the cycle in
     both directions, as a JSON object; None when the scenario is no cycle.
@@ -111,16 +79,11 @@ def _liar_obj(model: EmpiricalModel) -> dict | None:
     base = cycle_order(model)
     if base is None:
         return None
-    orders = []
-    for cycle in (base, list(reversed(base))):
+    for cycle in (base, base[::-1]):
         for shift in range(len(cycle)):
-            orders.append(cycle[shift:] + cycle[:shift])
-    # liar_cycle_witness collapses its model, and a Boolean model is its own
-    # collapse: collapsing here makes that one collapse for all the orders
-    shadow = possibilistic_collapse(model)
-    for order in orders:
-        chain = liar_cycle_witness(shadow, order)
-        if chain is not None:
+            chain = liar_cycle_witness(model, cycle[shift:] + cycle[:shift])
+            if chain is None:
+                continue
             return {
                 "found": True,
                 "order": list(chain.order),
@@ -138,7 +101,7 @@ def _liar_obj(model: EmpiricalModel) -> dict | None:
                 "expected": list(chain.expected),
                 "witnesses": [w.key() for w in chain.witnesses],
             }
-    return {"found": False, "orders_tried": len(orders)}
+    return {"found": False, "orders_tried": 2 * len(base)}
 
 
 def analysis_report(model: EmpiricalModel) -> dict:
@@ -210,17 +173,22 @@ def _pretty_report(obj: dict) -> str:
 
 
 def _cmd_builtin(args) -> int:
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    alpha = args.alpha if args.alpha is not None else inv_sqrt2
-    beta = args.beta if args.beta is not None else inv_sqrt2
-    if args.name == "fr":
-        model = builders.build_fr_model()
-    elif args.name == "pr":
-        model = builders.build_pr_model()
-    elif args.name == "wigner-compat":
-        model = builders.build_wigner_model(alpha, beta, compatible=True)
-    else:  # "wigner-incompat", the last of the argparse choices
-        model = builders.build_wigner_model(alpha, beta, compatible=False)
+    if args.name in ("fr", "pr"):
+        if args.alpha is not None or args.beta is not None:
+            raise BuilderError(
+                f"--alpha and --beta shape the Wigner models only, not {args.name}"
+            )
+        model = (
+            builders.build_fr_model() if args.name == "fr"
+            else builders.build_pr_model()
+        )
+    else:  # "wigner-compat" or "wigner-incompat"
+        inv_sqrt2 = 1.0 / math.sqrt(2.0)
+        alpha = args.alpha if args.alpha is not None else inv_sqrt2
+        beta = args.beta if args.beta is not None else inv_sqrt2
+        model = builders.build_wigner_model(
+            alpha, beta, compatible=args.name == "wigner-compat"
+        )
     _emit(jsonio.model_to_json(model), args.out)
     return 0
 

@@ -1,10 +1,14 @@
 """Deciding and quantifying contextuality of empirical models.
 
-The decision side works possibilistically: enumerate the global sections
+The decision side works possibilistically, on the supports of the model's
+own tables (a rational model has the same supports as its Boolean
+collapse, so no collapse is built): enumerate the global sections
 consistent with every context's support, then check which supported local
-sections extend.  The quantitative side is the noncontextual fraction: the
-largest total weight of a subdistribution on global sections whose
-marginals are dominated by the model, solved exactly by rational simplex.
+sections extend.  The liar-cycle search reads the same supports around a
+cycle of two-measurement contexts (``cycle_order`` finds the cycle).  The
+quantitative side is the noncontextual fraction: the largest total weight
+of a subdistribution on global sections whose marginals are dominated by
+the model, solved exactly by rational simplex.
 
 Hierarchy (from weakest to strongest):
   noncontextual < probabilistic < logical < strong.
@@ -26,10 +30,10 @@ from .empirical import (
     EmpiricalModel,
     Semiring,
     new_model,
-    possibilistic_collapse,
     require_no_disturbance,
     support,
 )
+from .empirical import possibilistic_collapse  # noqa: F401  (bench/tracer.py wraps this name)
 from .errors import NotACycle, SectionNotInSupport, WrongSemiring
 from .scenario import Context, GlobalSection, Section
 
@@ -196,16 +200,16 @@ def noncontextual_decomposition(
 def classify(model: EmpiricalModel) -> ContextualityReport:
     """Place a non-disturbing model in the contextuality hierarchy.
 
-    Strong and logical contextuality are decided on the Boolean collapse;
-    rational models additionally get the noncontextual fraction, and are
-    probabilistically contextual when it falls below 1.  The report
-    carries the certified LP solution behind that fraction (None for a
-    Boolean model), so ``noncontextual_decomposition`` can reuse it.
+    Strong and logical contextuality are decided on the supports of the
+    model's tables, which a rational model shares with its Boolean
+    collapse; rational models additionally get the noncontextual fraction,
+    and are probabilistically contextual when it falls below 1.  The
+    report carries the certified LP solution behind that fraction (None
+    for a Boolean model), so ``noncontextual_decomposition`` can reuse it.
     """
     require_no_disturbance(model)
-    shadow = possibilistic_collapse(model)
-    globals_ = tuple(global_sections(shadow))
-    witnesses = tuple(_non_extendable(shadow, globals_))
+    globals_ = tuple(global_sections(model))
+    witnesses = tuple(_non_extendable(model, globals_))
     solution = None
     if model.semiring is Semiring.RATIONAL:
         solution = noncontextual_fraction_certified(model)
@@ -243,6 +247,39 @@ class ContradictionChain:
     witnesses: tuple[Section, ...]
 
 
+def cycle_order(model: EmpiricalModel) -> list[str] | None:
+    """Measurement order around the compatibility cycle, if there is one.
+
+    Requires every maximal context to have two measurements, every
+    measurement to sit in exactly two contexts, and the walk to close into
+    a single cycle through all measurements.  The contexts are distinct
+    pairs, so the walk returns to its start without revisiting any
+    measurement; it misses some only when the contexts form several cycles.
+    """
+    scen = model.scenario
+    if any(len(c) != 2 for c in scen.maximal_contexts):
+        return None
+    if len(scen.measurements) < 3:
+        return None
+    neighbors: dict[str, list[str]] = {m: [] for m in scen.measurements}
+    for a, b in scen.maximal_contexts:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    if any(len(n) != 2 for n in neighbors.values()):
+        return None
+    start = scen.measurements[0]
+    order = [start, sorted(neighbors[start], key=scen.measurements.index)[0]]
+    while True:
+        here, back = order[-1], order[-2]
+        nxt = next(n for n in neighbors[here] if n != back)
+        if nxt == start:
+            break
+        order.append(nxt)
+    if len(order) != len(scen.measurements):
+        return None
+    return order
+
+
 def _cycle_contexts(model: EmpiricalModel, order: Sequence[str]) -> list[Context]:
     scen = model.scenario
     agents = tuple(order)
@@ -276,53 +313,42 @@ def liar_cycle_witness(
     contexts = _cycle_contexts(model, agent_order)
     agents = tuple(agent_order)
     scen = model.scenario
-    shadow = possibilistic_collapse(model)
-
     starts = (
         scen.outcomes[agents[0]] if start_outcome is None else (start_outcome,)
     )
     for start in starts:
         current = start
         steps = []
-        stuck = False
-        for i in range(len(agents) - 1):
-            here, there = agents[i], agents[i + 1]
-            ctx = contexts[i]
-            table = shadow.tables[ctx]
-            candidates = [
-                o
-                for o in scen.outcomes[there]
-                if table[scen.section({here: current, there: o})] != 0
-            ]
-            if len(candidates) != 1:
-                stuck = True
-                break
-            forced = candidates[0]
-            zero_cells = tuple(
+        for ctx, here, there in zip(contexts, agents, agents[1:]):
+            table = model.tables[ctx]
+            cells = [
                 scen.section({here: current, there: o})
                 for o in scen.outcomes[there]
-                if o != forced
-            )
+            ]
+            supported = [cell for cell in cells if table[cell] != 0]
+            if len(supported) != 1:
+                break
+            forced = supported[0][there]
+            zero_cells = tuple(cell for cell in cells if cell is not supported[0])
             steps.append(
                 ForcedStep(ctx, (here, current), (there, forced), zero_cells)
             )
             current = forced
-        if stuck:
-            continue
-        closing = contexts[-1]
-        last = agents[-1]
-        witnesses = tuple(
-            sec
-            for sec in sorted(support(shadow, closing), key=lambda s: s.values)
-            if sec[agents[0]] == start and sec[last] != current
-        )
-        if witnesses:
-            return ContradictionChain(
-                order=agents,
-                start=(agents[0], start),
-                steps=tuple(steps),
-                closing_context=closing,
-                expected=(last, current),
-                witnesses=witnesses,
+        else:
+            closing = contexts[-1]
+            last = agents[-1]
+            witnesses = tuple(
+                sec
+                for sec in sorted(support(model, closing), key=lambda s: s.values)
+                if sec[agents[0]] == start and sec[last] != current
             )
+            if witnesses:
+                return ContradictionChain(
+                    order=agents,
+                    start=(agents[0], start),
+                    steps=tuple(steps),
+                    closing_context=closing,
+                    expected=(last, current),
+                    witnesses=witnesses,
+                )
     return None

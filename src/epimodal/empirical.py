@@ -101,8 +101,8 @@ def new_model(
 
     ``tables`` maps each maximal context (any iterable of its measurements)
     to a mapping section -> value, where sections may be given as Section
-    objects, outcome tuples in canonical context order, or measurement ->
-    outcome mappings.  Missing sections default to 0.  Each context must
+    objects, outcome tuples in canonical context order, or those outcomes
+    joined by commas.  Missing sections default to 0.  Each context must
     normalize: rational values sum to 1, boolean values OR to 1.
     """
     resolved: dict[Context, dict[Section, Fraction]] = {}
@@ -119,8 +119,6 @@ def new_model(
         for key, value in cells.items():
             if isinstance(key, Section):
                 sec = key
-            elif isinstance(key, Mapping):
-                sec = Section(ctx, tuple(key[m] for m in ctx))
             else:
                 parts = key.split(",") if isinstance(key, str) else tuple(key)
                 if len(parts) != len(ctx):

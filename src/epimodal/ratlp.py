@@ -35,7 +35,7 @@ and with them the returned vertex, dual point, pivot count and unbounded
 ray, are those of the same simplex on a dense ``Fraction`` tableau.  Point
 and dual point are returned as ``fractions.Fraction``.
 
-Every OPTIMAL solution ships with the slack u - A.x of each row and a dual
+Every optimum ships with the slack u - A.x of each row and a dual
 point.  The slack is read off the final basis like the point: a basic
 slack of the integer tableau is L times the LP's, so it is rhs/(den.L),
 and a nonbasic one is 0.  Before returning, the solver checks in exact
@@ -49,7 +49,6 @@ independent of the integer pivoting.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from collections.abc import Callable, Mapping, Sequence
@@ -57,11 +56,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import Malformed, Unbounded
-
-
-class LpStatus(enum.Enum):
-    OPTIMAL = "optimal"
-    UNBOUNDED = "unbounded"
 
 
 def _fraction(v) -> Fraction:
@@ -164,7 +158,6 @@ class LinearProgram:
 class LpSolution:
     """An optimum; ``slack[i]`` is exactly bounds[i] - rows[i].point."""
 
-    status: LpStatus
     value: Fraction | None
     point: tuple[Fraction, ...]
     slack: tuple[Fraction, ...]
@@ -334,7 +327,6 @@ def solve(
     )
     _verify_certificate(lp, x, s, y, value)
     return LpSolution(
-        status=LpStatus.OPTIMAL,
         value=value,
         point=tuple(x),
         slack=tuple(s),

@@ -84,12 +84,6 @@ class MeasurementScenario:
     maximal_contexts: tuple[Context, ...]
     outcomes: Mapping[str, tuple[str, ...]]
 
-    def index(self, measurement: str) -> int:
-        try:
-            return self.measurements.index(measurement)
-        except ValueError:
-            raise UnknownMeasurement(measurement) from None
-
     def canonical_context(self, context: Iterable[str]) -> Context:
         """Sort a measurement collection by declared measurement order."""
         items = set(context)

@@ -10,7 +10,8 @@ import epimodal.contextuality
 import epimodal.ratlp
 import epimodal.scenario
 from epimodal import Semiring, new_model, new_scenario, possibilistic_collapse
-from epimodal.cli import analysis_report, cycle_order, main
+from epimodal.cli import analysis_report, main
+from epimodal.contextuality import cycle_order
 from epimodal.dot import bundle_dot
 from epimodal.jsonio import model_to_json
 from epimodal.modal import MultiAgentScenario, translate
@@ -82,6 +83,18 @@ def test_builtin_wigner_rejects_non_finite_amplitudes(
     err = capsys.readouterr().err
     assert err.startswith("error: alpha^2 + beta^2 = ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["fr", "pr"])
+@pytest.mark.parametrize("option", ["--alpha", "--beta"])
+def test_builtin_without_amplitudes_rejects_them(capsys, name, option):
+    # the amplitudes shape the Wigner models only: fr and pr would ignore them
+    assert main(["builtin", name, option, "0.3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --alpha and --beta shape the Wigner models only, not {name}\n"
+    )
 
 
 @pytest.mark.parametrize("option", ["--alpha", "--beta"])
@@ -330,7 +343,6 @@ def test_analyze_runs_each_stage_once(fr_model, monkeypatch):
         ),
     )
     monkeypatch.setattr(epimodal.contextuality, "possibilistic_collapse", collapse)
-    monkeypatch.setattr(epimodal.cli, "possibilistic_collapse", collapse)
     # soundness reads the one translation, through either lookup site
     counted_translate = counting("translate", translate)
     monkeypatch.setattr(epimodal.cli, "translate", counted_translate)
@@ -338,13 +350,13 @@ def test_analyze_runs_each_stage_once(fr_model, monkeypatch):
     analysis_report(fr_model)
     # the space is never built: the LP's columns come from outcome tuples,
     # the decomposition reads the LP's slack and translate enumerates
-    # nothing; the model is collapsed by classify and once for the whole
-    # liar search
+    # nothing; classify and the liar search read the model's own supports,
+    # so no Boolean copy is made
     assert calls == {
         "solve": 1,
         "global_sections": 1,
         "global_section_space": 0,
-        "collapse_rational": 2,
+        "collapse_rational": 0,
         "translate": 1,
     }
 
@@ -739,3 +751,38 @@ def test_cycle_order(fr_model):
     from epimodal import build_wigner_model
 
     assert cycle_order(build_wigner_model(0.6, 0.8, False)) is None
+
+
+def zero_model(contexts):
+    """Boolean model supporting only the all-"0" section of each context."""
+    meas = sorted(set().union(*contexts))
+    scen = new_scenario(meas, contexts, {m: ["0", "1"] for m in meas})
+    return new_model(scen, Semiring.BOOLEAN, {
+        ctx: {("0",) * len(ctx): 1} for ctx in scen.maximal_contexts
+    })
+
+
+def test_cycle_order_of_two_disjoint_triangles_is_none():
+    # every measurement has two neighbours, yet the walk from A closes
+    # after A, B, C and never meets D, E, F
+    model = zero_model([
+        {"A", "B"}, {"B", "C"}, {"A", "C"}, {"D", "E"}, {"E", "F"}, {"D", "F"},
+    ])
+    assert cycle_order(model) is None
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_liar_search_on_full_supports_finds_nothing(n):
+    # with every cell supported no step is forced, in any order
+    model = noisy_cycle_model([Fraction(1, 3)] * n)
+    assert analysis_report(model)["liar_cycle"] == {
+        "found": False, "orders_tried": 2 * n,
+    }
+
+
+@pytest.mark.parametrize("contexts", [
+    [{"A", "B"}, {"B", "C"}],                   # a chain
+    [{"A", "B", "C"}, {"C", "D"}],              # a 3-measurement context
+])
+def test_liar_search_needs_a_cycle(contexts):
+    assert analysis_report(zero_model(contexts))["liar_cycle"] is None

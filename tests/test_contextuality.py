@@ -27,7 +27,11 @@ from epimodal import (
 )
 import epimodal.ratlp
 import epimodal.scenario
-from epimodal.contextuality import _non_extendable, noncontextual_fraction_certified
+from epimodal.contextuality import (
+    _non_extendable,
+    cycle_order,
+    noncontextual_fraction_certified,
+)
 from epimodal.errors import (
     DisturbingModel,
     NotACycle,
@@ -588,6 +592,72 @@ def test_liar_witness_implies_logical(fr_model, pr_model):
                 break
         assert chain is not None
         assert classify(model).level >= HierarchyLevel.LOGICAL_CONTEXTUAL
+
+
+@st.composite
+def mixed_cycle_models(draw):
+    """Non-disturbing n-cycles, n = 3-5, with 2-3 outcomes per measurement
+    declared out of sorted order and the cycle in any measurement order.
+
+    A weighted mix of shift boxes (a permutation support per context, so
+    uniform marginals) and global assignments: each part is non-disturbing,
+    so the mix is too.  A box alone forces every step of a liar chain, an
+    added assignment or box makes steps branch.  Rational, or the Boolean
+    model with the same supports.
+    """
+    n = draw(st.integers(3, 5))
+    k = draw(st.integers(2, 3))
+    meas = [f"M{i}" for i in range(n)]
+    ring = draw(st.permutations(meas))
+    outcomes = {
+        m: draw(st.permutations("012"[:k]).filter(lambda o: o != sorted(o)))
+        for m in meas
+    }
+    scen = new_scenario(
+        meas, [(ring[i - 1], ring[i]) for i in range(n)], outcomes
+    )
+    parts = draw(st.lists(
+        st.tuples(
+            st.integers(1, 3),
+            st.booleans(),
+            st.lists(st.integers(0, k - 1), min_size=n, max_size=n),
+        ),
+        min_size=1, max_size=3,
+    ))
+    total = sum(weight for weight, _, _ in parts)
+    tables = {ctx: {} for ctx in scen.maximal_contexts}
+    for weight, box, picks in parts:
+        for i in range(n):
+            a, b = ring[i - 1], ring[i]
+            cells = (
+                [(j, (j + picks[i]) % k) for j in range(k)] if box
+                else [(picks[i - 1], picks[i])]
+            )
+            for ia, ib in cells:
+                sec = scen.section({a: outcomes[a][ia], b: outcomes[b][ib]})
+                table = tables[sec.context]
+                table[sec] = table.get(sec, 0) + F(weight, total * len(cells))
+    if draw(st.booleans()):
+        return new_model(scen, Semiring.RATIONAL, tables)
+    return new_model(scen, Semiring.BOOLEAN, {
+        ctx: {sec: 1 for sec in table} for ctx, table in tables.items()
+    })
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_cycle_models())
+def test_possibilistic_verdicts_read_the_model_as_its_collapse(model):
+    shadow = possibilistic_collapse(model)
+    got, expected = classify(model), classify(shadow)
+    assert got.global_support == expected.global_support
+    assert got.non_extendable == expected.non_extendable
+    base = cycle_order(model)
+    for cycle in (base, base[::-1]):
+        for shift in range(len(cycle)):
+            order = cycle[shift:] + cycle[:shift]
+            assert liar_cycle_witness(model, order) == liar_cycle_witness(
+                shadow, order
+            )
 
 
 def test_fab_three_conditions_on_worked_models(fr_model, pr_model):

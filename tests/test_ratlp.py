@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from epimodal.contextuality import noncontextual_fraction_certified
 from epimodal.errors import Malformed, Unbounded
-from epimodal.ratlp import LinearProgram, LpStatus, _verify_certificate, solve
+from epimodal.ratlp import LinearProgram, _verify_certificate, solve
 from model_random import noisy_cycle_model
 
 F = Fraction
@@ -183,7 +183,6 @@ def _solve_square(a, b):
 def test_single_constraint():
     lp = LinearProgram.build([1], [[1]], [F(1, 3)])
     sol = solved(lp)
-    assert sol.status is LpStatus.OPTIMAL
     assert sol.value == F(1, 3)
     assert sol.point == (F(1, 3),)
 
