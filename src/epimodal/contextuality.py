@@ -8,7 +8,8 @@ sections extend.  The liar-cycle search reads the same supports around a
 cycle of two-measurement contexts (``cycle_order`` finds the cycle).  The
 quantitative side is the noncontextual fraction: the largest total weight
 of a subdistribution on global sections whose marginals are dominated by
-the model, solved exactly by rational simplex.
+the model, solved exactly by rational simplex on the LP's shape (outcome
+counts, contexts and bounds), without listing its global assignments.
 
 Hierarchy (from weakest to strongest):
   noncontextual < probabilistic < logical < strong.
@@ -34,7 +35,7 @@ from .empirical import (
     support,
 )
 from .empirical import possibilistic_collapse  # noqa: F401  (bench/tracer.py wraps this name)
-from .errors import NotACycle, SectionNotInSupport, WrongSemiring
+from .errors import NotACycle, SectionNotInSupport, UnknownSection, WrongSemiring
 from .scenario import Context, GlobalSection, Section
 
 
@@ -132,6 +133,19 @@ def _lp_rows(scen: sc.MeasurementScenario) -> list[tuple[Context, Section]]:
     return [(c, sec) for c in scen.maximal_contexts for sec in sc.sections(scen, c)]
 
 
+def _ncf_lp(model: EmpiricalModel) -> ratlp.ProductLP:
+    """The noncontextual-fraction LP of a model, by its shape: one column
+    per global assignment in lexicographic order, one row per ``_lp_rows``
+    entry, bounded by the model's probability."""
+    scen = model.scenario
+    position = {m: i for i, m in enumerate(scen.measurements)}
+    return ratlp.ProductLP(
+        tuple([len(scen.outcomes[m]) for m in scen.measurements]),
+        tuple([tuple([position[m] for m in ctx]) for ctx in scen.maximal_contexts]),
+        tuple([model.tables[ctx][section] for ctx, section in _lp_rows(scen)]),
+    )
+
+
 def noncontextual_fraction_certified(model: EmpiricalModel) -> ratlp.LpSolution:
     """Noncontextual fraction with its exact LP optimality certificate.
 
@@ -140,30 +154,13 @@ def noncontextual_fraction_certified(model: EmpiricalModel) -> ratlp.LpSolution:
     every one of its sections, the pushed-forward weight not exceeding the
     model's probability.  Weights through zero cells are thereby forced to
     zero, so the optimum is 1 exactly when a global distribution reproduces
-    the model.
+    the model.  The LP is given to the solver by its shape, so no global
+    assignment is listed.
     """
     if model.semiring is not Semiring.RATIONAL:
         raise WrongSemiring("noncontextual fraction needs a rational model")
     require_no_disturbance(model)
-    scen = model.scenario
-    order = _lp_rows(scen)
-    row_of = {ctx: {} for ctx in scen.maximal_contexts}
-    for i, (ctx, section) in enumerate(order):
-        row_of[ctx][section.values] = i
-    pools = [scen.outcomes[m] for m in scen.measurements]
-    # the row each global assignment (in lexicographic order) meets in each
-    # context; contexts come in row order, so a column's rows ascend
-    hits = [
-        list(map(
-            row_of[ctx].__getitem__,
-            map(sc.projection(scen.measurements, ctx), itertools.product(*pools)),
-        ))
-        for ctx in scen.maximal_contexts
-    ]
-    columns = tuple([((1, rows),) for rows in zip(*hits)])
-    bounds = tuple([model.tables[ctx][section] for ctx, section in order])
-    lp = ratlp.LinearProgram((Fraction(1),) * len(columns), bounds, columns, 1)
-    return ratlp.solve(lp)
+    return ratlp.solve(_ncf_lp(model))
 
 
 def noncontextual_decomposition(
@@ -308,11 +305,14 @@ def liar_cycle_witness(
     chain claims the last agent's outcome is determined by the start; any
     supported section of the closing context that assigns the start agent
     its start outcome but the last agent a different one is a contradiction
-    witness.
+    witness.  A ``start_outcome`` that the first agent does not have raises
+    UnknownSection.
     """
     contexts = _cycle_contexts(model, agent_order)
     agents = tuple(agent_order)
     scen = model.scenario
+    if start_outcome is not None and start_outcome not in scen.outcomes[agents[0]]:
+        raise UnknownSection(f"{agents[0]} has no outcome {start_outcome!r}")
     starts = (
         scen.outcomes[agents[0]] if start_outcome is None else (start_outcome,)
     )

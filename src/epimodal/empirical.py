@@ -158,13 +158,14 @@ def marginal(
     sub = model.scenario.canonical_context(subcontext)
     if not set(sub) <= set(ctx):
         raise NotASubcontext(f"{sub} is not inside {ctx}")
-    out: dict[Section, Fraction] = {
-        sec: Fraction(0) for sec in sc.sections(model.scenario, sub)
-    }
+    # the cells' values grouped by their subsection's values, then one
+    # semiring sum and one Section per subsection
+    targets = sc.sections(model.scenario, sub)
+    groups: dict[tuple[str, ...], list[Fraction]] = {t.values: [] for t in targets}
+    project = sc.projection(ctx, sub)
     for sec, value in model.tables[ctx].items():
-        target = sc.restrict(sec, sub)
-        out[target] = _combine(model.semiring, (out[target], value))
-    return out
+        groups[project(sec.values)].append(value)
+    return {t: _combine(model.semiring, groups[t.values]) for t in targets}
 
 
 @dataclass(frozen=True)

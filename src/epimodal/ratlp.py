@@ -4,16 +4,22 @@ Canonical form only: maximize c.x subject to A.x <= u, x >= 0, with u >= 0
 so the origin is always feasible and no phase-1 is needed.  The pivot rule
 is Bland's (smallest index), which cannot cycle.
 
-A is stored by columns, as (1/d) times an integer matrix, d > 0 being one
-denominator for the whole of A: column j keeps its nonzero integer entries
-only, grouped by value, as ((a, rows), ...) with ``rows`` the ascending
-indices of the rows where the integer matrix has a.  An LP of the
-noncontextual fraction has one column per global assignment and one row
-per local section; each column is a single group ((1, rows),), one row
-per maximal context, so the nonzeros are a small share of the matrix and
-the LP is built with d = 1 and no ``Fraction`` per nonzero.
-``LinearProgram.build`` takes the LP row by row and transposes it once;
-``LinearProgram.rows`` derives the row-wise view back.
+A is (1/d) times an integer matrix, d > 0 being one denominator for the
+whole of A, and an LP hands the solver column j of the integer matrix as
+its nonzero entries grouped by value, ((a, rows), ...) with ``rows`` the
+ascending indices of the rows where the entry is a.  Two LP types exist:
+
+- ``LinearProgram`` stores every column.  ``LinearProgram.build`` takes
+  the LP row by row and transposes it once; ``rows`` derives the row-wise
+  view back.
+- ``ProductLP`` is the noncontextual-fraction LP, stored by its shape
+  alone: the outcome counts k_1..k_n, each maximal context as its
+  positions, and the bounds.  Column j is the j-th global assignment g in
+  ``itertools.product`` order, with c_j = 1 and d = 1, and it has a single
+  1 in each context b, in row offset_b plus the mixed-radix index of g on
+  b's positions.  None of its N = k_1...k_n columns is stored; ``column(j)``
+  computes one, and ``columns`` and ``rows`` expand all of them for test
+  oracles.
 
 The simplex is revised and fraction-free (Edmonds 1967 and Bareiss 1968,
 the integer pivoting lrs uses).  Multiplying every row and the objective
@@ -21,14 +27,37 @@ by the lcm L of d and the denominators of c and u gives the integer
 tableau [L.A | I | L.u]; it is the LP with each slack variable multiplied
 by L, so every ratio of one ratio test scales by the same positive factor
 and every reduced cost keeps its sign.  That tableau is never formed.
-Each integer column is scaled once, by L/d.  Between pivots the solver
-keeps only its slack block S = den.B^-1 (m x m), its right-hand side and
-the slack part z of its cost row, den being the last pivot (1 before the
-first); all are integers.  Column j of the tableau is S.(L.a_j) and its
-reduced cost is z.(L.a_j) - den.L.c_j, each summed over the groups of
-a_j, and a slack's reduced cost is its entry of z.  The Edmonds/Bareiss
-update runs on S, the right-hand side and z, and each of its divisions by
-the previous pivot is exact.  The entering column is the first with a
+Between pivots the solver keeps only its slack block S = den.B^-1 (m x m),
+its right-hand side and the slack part z of its cost row, den being the
+last pivot (1 before the first); all are integers.  Column j of the
+tableau is S.(L.a_j) and its reduced cost is z.(L.a_j) - den.L.c_j, and a
+slack's reduced cost is its entry of z.
+
+Each LP type prices its own columns, behind one ``pricing`` method, so
+``solve`` has one loop for both:
+
+- ``LinearProgram`` scans its columns from column 0 and enters the first
+  with a negative reduced cost.
+- ``ProductLP`` finds that column by a dynamic programme over the
+  positions in order.  Its reduced cost is L.(sum_b z[row_b(g)] - den),
+  so Bland's rule enters the lexicographically first g whose sum is below
+  den.  The frontier F_d holds the positions <= d that lie in a context
+  ending after d; a state is an assignment of F_d.  Static tables give,
+  for each state of F_(d-1) and outcome of d, the rows of the contexts
+  completed at d and the next state.  A backward pass computes, for each
+  state, the exact minimum of the sums still to come; a forward pass then
+  takes at each depth the first outcome that keeps a completion below
+  den, and never backtracks.  On an n-cycle that is 8 transitions per
+  depth against up to 2^n columns, and no state space is larger than N.
+
+The Edmonds/Bareiss update divides each row exactly by the previous
+pivot.  Rows whose entry in the entering column is 0 would only be
+rescaled by pivot/den, so they are left as they are: ``at[i]`` records the
+den at which row i was last written, and its entries at the current den
+are tab[i].den/at[i], exact because den.B^-1 is integral.  Only the
+entering column's entries and the right-hand sides the ratio test reads
+are rescaled; a row is written out only when its entering entry is
+nonzero or it leaves the basis.  The entering column is the first with a
 negative reduced cost (structural columns before slacks), the leaving row
 has the minimum ratio with ties to the smaller basis index, so the pivots,
 and with them the returned vertex, dual point, pivot count and unbounded
@@ -39,28 +68,33 @@ Every optimum ships with the slack u - A.x of each row and a dual
 point.  The slack is read off the final basis like the point: a basic
 slack of the integer tableau is L times the LP's, so it is rhs/(den.L),
 and a nonbasic one is 0.  Before returning, the solver checks in exact
-arithmetic on the original LP, column by column, that u - A.x equals the
-slack and is nonnegative (A.x summed over the columns of the point's
-support only), that point and dual point are nonnegative, that y.A >= c
-holds in every column (in integers, over the column's groups) and strong
+arithmetic on the original LP that u - A.x equals the slack and is
+nonnegative (A.x summed over the basic columns only), that point and dual
+point are nonnegative, that y.A >= c holds in every column and strong
 duality: (point, slack, dual_point) is a checked optimality certificate
-independent of the integer pivoting.
+independent of the integer pivoting.  A ``LinearProgram`` checks y.A >= c
+column by column in integers; a ``ProductLP`` runs the backward pass on
+the integer duals, min_g sum_b y[row_b(g)] >= 1, which is exact and does
+not depend on the pivots.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from .errors import Malformed, Unbounded
 
 
 def _fraction(v) -> Fraction:
     # A Fraction is kept as given: converting it again would copy it, once
-    # per nonzero of a 2^n-column LP.
+    # per nonzero of a large LP.
     return v if type(v) is Fraction else Fraction(v)
 
 
@@ -79,6 +113,24 @@ def _sparse_row(row, n: int) -> tuple[tuple[int, Fraction], ...]:
 
 
 Column = tuple[tuple[int, tuple[int, ...]], ...]
+# price(z, den) -> (j, column j of L.A as integers, its reduced cost) for
+# Bland's entering structural column, or None if no reduced cost is < 0
+Pricing = Callable[[Sequence[int], int], "tuple[int, Column, int] | None"]
+
+
+def _row_view(columns, den: int, m: int):
+    """Row i of (1/den) times the integer columns as its nonzero (column,
+    coefficient) pairs by ascending column."""
+    rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
+    coefficient: dict[int, Fraction] = {}  # one Fraction per value
+    for j, column in enumerate(columns):
+        for a, indices in column:
+            if a not in coefficient:
+                coefficient[a] = Fraction(a, den)
+            entry = (j, coefficient[a])
+            for i in indices:
+                rows[i].append(entry)
+    return tuple([tuple(row) for row in rows])
 
 
 @dataclass(frozen=True)
@@ -142,16 +194,234 @@ class LinearProgram:
         """Row i of A as its nonzero (column, coefficient) pairs by
         ascending column: the row-wise view ``build`` takes, derived from
         the columns on each access."""
-        rows: list[list[tuple[int, Fraction]]] = [[] for _ in self.bounds]
-        coefficient: dict[int, Fraction] = {}  # one Fraction per value
-        for j, column in enumerate(self.columns):
-            for a, indices in column:
-                if a not in coefficient:
-                    coefficient[a] = Fraction(a, self.den)
-                entry = (j, coefficient[a])
-                for i in indices:
-                    rows[i].append(entry)
-        return tuple([tuple(row) for row in rows])
+        return _row_view(self.columns, self.den, len(self.bounds))
+
+    @property
+    def scale(self) -> int:
+        """L: the lcm of den and of the denominators of c and u."""
+        return math.lcm(
+            self.den,
+            *{v.denominator for v in itertools.chain(self.objective, self.bounds)},
+        )
+
+    def column(self, j: int) -> Column:
+        return self.columns[j]
+
+    def pricing(self) -> Pricing:
+        """Bland's entering column by a scan from column 0."""
+        scale = self.scale
+        factor = scale // self.den
+        columns = self.columns if factor == 1 else [
+            tuple([(a * factor, rows) for a, rows in column])
+            for column in self.columns
+        ]
+        cost = [v.numerator * (scale // v.denominator) for v in self.objective]
+
+        def price(z, den):
+            priced = z.__getitem__
+            for j, column in enumerate(columns):
+                reduced = _dot(column, priced) - den * cost[j]
+                if reduced < 0:
+                    return j, column, reduced
+            return None
+
+        return price
+
+    def dual_feasible(self, ys: Sequence[int], dy: int) -> bool:
+        """y.A >= c in every column, for y = ys/dy with dy > 0."""
+        # column by column over the integers: both sides times den.dy.dc,
+        # dc being a common denominator of c
+        dc, cs = _common(self.objective)
+        priced = ys.__getitem__
+        floor = self.den * dy
+        return all(
+            _dot(column, priced) * dc >= c * floor
+            for column, c in zip(self.columns, cs)
+        )
+
+
+@dataclass(frozen=True)
+class ProductLP:
+    """maximize sum(x)  subject to  A.x <= bounds, x >= 0, for the 0/1
+    matrix A of a product of outcome sets and a cover of contexts.
+
+    Column j is the j-th assignment g of ``itertools.product(*map(range,
+    radices))`` (position 0 most significant).  ``contexts[b]`` holds the
+    ascending positions of context b; it owns one row per assignment of
+    those positions, in the same product order, after the rows of the
+    contexts before it, and A has a 1 in the row of g's values there.
+    """
+
+    radices: tuple[int, ...]
+    contexts: tuple[tuple[int, ...], ...]
+    bounds: tuple[Fraction, ...]
+    den: ClassVar[int] = 1
+
+    def __post_init__(self):
+        n = len(self.radices)
+        if any(k < 1 for k in self.radices):
+            raise Malformed("every position needs an outcome")
+        if any(
+            not positions
+            or list(positions) != sorted(set(positions))
+            or positions[0] < 0
+            or positions[-1] >= n
+            for positions in self.contexts
+        ):
+            raise Malformed("a context is not ascending positions")
+        rows = sum(
+            math.prod([self.radices[p] for p in ps]) for ps in self.contexts
+        )
+        if len(self.bounds) != rows:
+            raise Malformed("row/bound count mismatch")
+        if any(b < 0 for b in self.bounds):
+            raise Malformed("negative bound: origin would be infeasible")
+
+    @functools.cached_property
+    def _weights(self) -> list[tuple[int, tuple[int, ...]]]:
+        """(offset, weights) per context: an assignment g meets its row
+        offset + sum_p g[p].weights[p], the weights being the context's
+        mixed-radix place values at its positions and 0 elsewhere."""
+        out = []
+        offset = 0
+        for positions in self.contexts:
+            weights = [0] * len(self.radices)
+            size = 1
+            for p in reversed(positions):
+                weights[p] = size
+                size *= self.radices[p]
+            out.append((offset, tuple(weights)))
+            offset += size
+        return out
+
+    def _meets(self, g: Sequence[int]) -> tuple[int, ...]:
+        """The row of each context that the assignment g meets."""
+        return tuple([
+            offset + sum(map(operator.mul, g, weights))
+            for offset, weights in self._weights
+        ])
+
+    @functools.cached_property
+    def objective(self) -> tuple[Fraction, ...]:
+        return (Fraction(1),) * math.prod(self.radices)
+
+    @property
+    def scale(self) -> int:
+        return math.lcm(*{b.denominator for b in self.bounds})
+
+    def column(self, j: int) -> Column:
+        g = []
+        for k in reversed(self.radices):
+            j, o = divmod(j, k)
+            g.append(o)
+        return ((1, self._meets(g[::-1])),)
+
+    @property
+    def columns(self) -> tuple[Column, ...]:
+        """Every column, in one pass over the product: for test oracles."""
+        return tuple([
+            ((1, self._meets(g)),)
+            for g in itertools.product(*map(range, self.radices))
+        ])
+
+    @property
+    def rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """The row-wise view of ``columns``, as ``LinearProgram.rows``."""
+        return _row_view(self.columns, 1, len(self.bounds))
+
+    @functools.cached_property
+    def _steps(self) -> list[tuple[int, list[list[int]], list[int], tuple]]:
+        """(k_d, rows, next, picks) per depth d.  Transition t = s.k_d + o
+        takes state s of F_(d-1) and outcome o of position d; rows[c][t] is
+        the row it meets in the c-th context completed at d, next[t] its
+        state of F_d, and picks[o] slices out the transitions of outcome o.
+        A state is the mixed-radix index of an assignment of its frontier's
+        positions, in ascending order."""
+        steps = []
+        before: tuple[int, ...] = ()
+        for d, k in enumerate(self.radices):
+            after = tuple(sorted({
+                p for ps in self.contexts if ps[-1] > d for p in ps if p <= d
+            }))
+            here = (*before, d)
+            # the place values, over ``here``, of the completed contexts'
+            # rows and of the next state
+            done = [
+                (offset, [weights[p] for p in here])
+                for (offset, weights), ps in zip(self._weights, self.contexts)
+                if ps[-1] == d
+            ]
+            place = [0] * len(here)
+            size = 1
+            for p in reversed(after):
+                place[here.index(p)] = size
+                size *= self.radices[p]
+            moves = list(itertools.product(*[range(self.radices[p]) for p in here]))
+            rows = [
+                [offset + sum(map(operator.mul, g, weights)) for g in moves]
+                for offset, weights in done
+            ]
+            nxt = [sum(map(operator.mul, g, place)) for g in moves]
+            picks = tuple([slice(o, None, k) for o in range(k)])
+            steps.append((k, rows, nxt, picks))
+            before = after
+        return steps
+
+    def _suffix_minima(self, values: Sequence[int]) -> list[list[int]]:
+        """minima[d][s]: the least sum of ``values`` over the rows of the
+        contexts completed at depth d or later, over the assignments of
+        positions d.. that extend state s of F_(d-1); minima[n] is [0]."""
+        steps = self._steps
+        minima = [[0]] * (len(steps) + 1)
+        tail = minima[-1]
+        get = values.__getitem__
+        for d in range(len(steps) - 1, -1, -1):
+            k, rows, nxt, picks = steps[d]
+            total = list(map(tail.__getitem__, nxt))
+            for r in rows:
+                total = list(map(operator.add, total, map(get, r)))
+            if k > 1:
+                total = list(map(min, *map(total.__getitem__, picks)))
+            minima[d] = tail = total
+        return minima
+
+    def pricing(self) -> Pricing:
+        """Bland's entering column by the frontier DP: the first g in
+        product order whose sum of z over its rows is below den."""
+        scale = self.scale
+        steps = self._steps
+
+        def price(z, den):
+            minima = self._suffix_minima(z)
+            if minima[0][0] >= den:
+                return None
+            j = state = total = 0
+            met = []
+            for d, (k, rows, nxt, _) in enumerate(steps):
+                tail = minima[d + 1]
+                base = state * k
+                # the first outcome that some completion keeps below den;
+                # one exists, since total + minima[d][state] < den
+                for o in range(k):
+                    t = base + o
+                    here = total
+                    for r in rows:
+                        here += z[r[t]]
+                    if here + tail[nxt[t]] < den:
+                        break
+                j = j * k + o
+                total = here
+                state = nxt[t]
+                for r in rows:
+                    met.append(r[t])
+            return j, ((scale, tuple(sorted(met))),), scale * (total - den)
+
+        return price
+
+    def dual_feasible(self, ys: Sequence[int], dy: int) -> bool:
+        """y.A >= 1 in every column, for y = ys/dy with dy > 0: the least
+        sum of ys over a column's rows, by the backward pass."""
+        return self._suffix_minima(ys)[0][0] >= dy
 
 
 @dataclass(frozen=True)
@@ -172,39 +442,43 @@ def _common(values) -> tuple[int, list[int]]:
     return d, [p * (d // q) for p, q in ratios]
 
 
-def _verify_certificate(lp: LinearProgram, x, s, y, value) -> None:
-    # den.A.x in integers, as r / (den.dx), summed over the point's support
-    support = [(j, v) for j, v in enumerate(x) if v]
-    dx, xs = _common([v for _, v in support])
+def _verify_certificate(lp, x, s, y, value, support=None) -> None:
+    """Check (x, s, y) as an optimality certificate of ``lp`` with value
+    ``value``; raises Malformed naming the first check that fails.
+    ``support`` lists indices outside which x is 0 (the solver passes its
+    basic columns); without it the nonzero entries of x are found."""
+    if support is None:
+        support = [j for j, v in enumerate(x) if v]
+    # den.A.x in integers, as r / (den.dx), summed over the support
+    dx, xs = _common([x[j] for j in support])
     r = [0] * len(lp.bounds)
-    for (j, _), v in zip(support, xs):
-        for a, rows in lp.columns[j]:
-            t = a * v
-            for i in rows:
-                r[i] += t
+    for j, v in zip(support, xs):
+        if v:
+            for a, rows in lp.column(j):
+                t = a * v
+                for i in rows:
+                    r[i] += t
+    # u - A.x against the slack row by row, all three over one common
+    # denominator d: u.d - r.(d/(den.dx)) and s.d
+    du, us = _common(lp.bounds)
+    ds, ss = _common(s)
     scale = lp.den * dx
-    for bound, ax, slack in zip(lp.bounds, r, s, strict=True):
-        rest = bound - Fraction(ax, scale) if ax else bound
+    d = math.lcm(du, ds, scale)
+    for bound, ax, slack in zip(us, r, ss, strict=True):
+        rest = bound * (d // du) - ax * (d // scale)
         if rest < 0:
             raise Malformed("internal: primal point violates a constraint")
-        if rest != slack:
+        if rest != slack * (d // ds):
             raise Malformed("internal: slack is not bounds - rows.point")
     # the scaled integers have the signs of the Fractions
     dy, ys = _common(y)
     if min(xs, default=0) < 0 or min(ys, default=0) < 0:
         raise Malformed("internal: certificate has a negative component")
-    # y.A >= c column by column, over the integers: both sides times
-    # den.dy.dc, dy and dc being common denominators of y and of c
-    dc, cs = _common(lp.objective)
-    priced = ys.__getitem__
-    floor = lp.den * dy
-    if any(
-        _dot(column, priced) * dc < c * floor
-        for column, c in zip(lp.columns, cs)
-    ):
+    if not lp.dual_feasible(ys, dy):
         raise Malformed("internal: dual point is infeasible")
-    dual_value = sum(w * b for w, b in zip(y, lp.bounds))
-    if dual_value != value:
+    # y.u = value, both sides times dy.du.value's denominator
+    dual_value = sum(map(operator.mul, ys, us))
+    if dual_value * value.denominator != value.numerator * dy * du:
         raise Malformed("internal: strong duality does not hold")
 
 
@@ -217,17 +491,8 @@ def _dot(column, value: Callable[[int], int]) -> int:
     return total
 
 
-def _eliminate(row: list[int], prow: list[int], pivot: int, den: int, f: int):
-    """(pivot*row - f*prow) / den, exactly."""
-    if f == 0:
-        if pivot == den:
-            return row
-        return [pivot * a // den for a in row]
-    return [(pivot * a - f * b) // den for a, b in zip(row, prow)]
-
-
 def solve(
-    lp: LinearProgram,
+    lp: LinearProgram | ProductLP,
     trace: Callable[[int, Sequence[int]], None] | None = None,
 ) -> LpSolution:
     """Run primal simplex with Bland's rule on an origin-feasible LP.
@@ -239,62 +504,51 @@ def solve(
     """
     n = len(lp.objective)
     m = len(lp.bounds)
-    scale = math.lcm(
-        lp.den,
-        *{v.denominator for v in itertools.chain(lp.objective, lp.bounds)},
-    )
-
-    def scaled(v: Fraction) -> int:
-        return v.numerator * (scale // v.denominator)
-
-    # column j of L.A, as _dot takes it: each group's entry times L/den
-    factor = scale // lp.den
-    columns = lp.columns if factor == 1 else [
-        tuple([(a * factor, rows) for a, rows in column])
-        for column in lp.columns
-    ]
-    cost = [scaled(v) for v in lp.objective]
-    # tab[i] = [S[i] | rhs[i]] and z: the slack and right-hand-side
-    # columns of the integer tableau and the slack part of its cost row
+    scale = lp.scale
+    price = lp.pricing()
+    # tab[i] = [S[i] | rhs[i]] at den at[i], and z at den: the slack and
+    # right-hand-side columns of the integer tableau and the slack part of
+    # its cost row
     tab = [
-        [int(i == k) for k in range(m)] + [scaled(b)]
+        [int(i == k) for k in range(m)] + [b.numerator * (scale // b.denominator)]
         for i, b in enumerate(lp.bounds)
     ]
+    at = [1] * m
     z = [0] * m
     den = 1
     basis = list(range(n, n + m))
 
     pivots = 0
     while True:
-        priced = z.__getitem__
-        for j, column in enumerate(columns):
-            reduced = _dot(column, priced) - den * cost[j]
-            if reduced < 0:
-                entering = j
-                break
+        found = price(z, den)
+        if found is not None:
+            entering, column, reduced = found
+            col = [_dot(column, t.__getitem__) for t in tab]
         else:
             entering = next((n + i for i in range(m) if z[i] < 0), None)
             if entering is None:
                 break
             reduced = z[entering - n]
+            col = [t[entering - n] for t in tab]
         if trace is not None:
             trace(pivots, tuple(basis))
-        if entering < n:
-            col = [_dot(columns[entering], t.__getitem__) for t in tab]
-        else:
-            col = [t[entering - n] for t in tab]
+        # the entering column at den
+        col = [f if not f or a == den else f * den // a for f, a in zip(col, at)]
         leaving = None
-        for i in range(m):
-            coeff = col[i]
+        for i, coeff in enumerate(col):
             if coeff > 0:
-                if leaving is None:
-                    leaving = i
-                    continue
-                # ratio rhs/coeff against the best row's, cross-multiplied
-                here = tab[i][m] * col[leaving]
-                best = tab[leaving][m] * coeff
-                if here < best or (here == best and basis[i] < basis[leaving]):
-                    leaving = i
+                rhs = tab[i][m]
+                if at[i] != den:
+                    rhs = rhs * den // at[i]
+                if leaving is not None:
+                    # ratio rhs/coeff against the best row's, cross-multiplied
+                    here = rhs * best_coeff
+                    best = best_rhs * coeff
+                    if not (
+                        here < best or (here == best and basis[i] < basis[leaving])
+                    ):
+                        continue
+                leaving, best_rhs, best_coeff = i, rhs, coeff
         if leaving is None:
             # slack columns carry a factor 1/L against the unscaled LP
             unit = Fraction(scale if entering >= n else 1, den)
@@ -305,27 +559,39 @@ def solve(
                 if basis[i] < n:
                     ray[basis[i]] = -col[i] * unit
             raise Unbounded(tuple(ray))
-        prow = tab[leaving]
         pivot = col[leaving]
-        # Edmonds/Bareiss step: every division by the old den is exact.
-        for i in range(m):
-            if i != leaving:
-                tab[i] = _eliminate(tab[i], prow, pivot, den, col[i])
-        # zip in _eliminate stops at the end of z, before prow's rhs
-        z = _eliminate(z, prow, pivot, den, reduced)
+        prow = tab[leaving]
+        if at[leaving] != den:
+            last = at[leaving]
+            prow = [a * den // last for a in prow]
+        # Edmonds/Bareiss step on the rows the entering column meets: every
+        # division is exact.  The pivot row is unchanged at the new den.
+        for i, f in enumerate(col):
+            if f and i != leaving:
+                row = tab[i]
+                if at[i] == den:
+                    tab[i] = [(pivot * a - f * b) // den for a, b in zip(row, prow)]
+                else:
+                    # the row at den is row.den/at[i]
+                    p, q, d = pivot * den, f * at[i], den * at[i]
+                    tab[i] = [(p * a - q * b) // d for a, b in zip(row, prow)]
+                at[i] = pivot
+        tab[leaving] = prow
+        at[leaving] = pivot
+        # zip stops at the end of z, before prow's rhs
+        z = [(pivot * a - reduced * b) // den for a, b in zip(z, prow)]
         den = pivot
         basis[leaving] = entering
         pivots += 1
 
     xs = [Fraction(0)] * (n + m)  # point, then slack
     for i, var in enumerate(basis):
-        xs[var] = Fraction(tab[i][m], den if var < n else den * scale)
+        xs[var] = Fraction(tab[i][m], at[i] if var < n else at[i] * scale)
     x, s = xs[:n], xs[n:]
     y = tuple([Fraction(w, den) for w in z])  # a list: see build
-    value = sum(
-        (lp.objective[j] * x[j] for j in basis if j < n), Fraction(0)
-    )
-    _verify_certificate(lp, x, s, y, value)
+    support = [j for j in basis if j < n]
+    value = sum((lp.objective[j] * x[j] for j in support), Fraction(0))
+    _verify_certificate(lp, x, s, y, value, support)
     return LpSolution(
         value=value,
         point=tuple(x),

@@ -12,6 +12,7 @@ from epimodal import (
     build_fr_model,
     build_pr_model,
     build_wigner_model,
+    check_no_disturbance,
     classify,
     extendable,
     four_cycle_scenario,
@@ -36,6 +37,7 @@ from epimodal.errors import (
     DisturbingModel,
     NotACycle,
     SectionNotInSupport,
+    UnknownSection,
     WrongSemiring,
 )
 from epimodal.ratlp import LinearProgram
@@ -394,6 +396,8 @@ def test_ncf_lp_build_restricts_once_per_context_and_assignment(monkeypatch):
     model = noisy_cycle_model([F(1, 12), F(1, 8), F(1, 6), F(1, 4), F(1, 3), F(1, 2)])
     scen = model.scenario
     lam = global_section_space(scen)
+    # the marginals are compared once per model: before counting
+    check_no_disturbance(model)
     made = Counter()
     applied = Counter()
     lps = []
@@ -413,10 +417,8 @@ def test_ncf_lp_build_restricts_once_per_context_and_assignment(monkeypatch):
         lambda lp, trace=None: lps.append(lp) or ratlp_solve(lp),
     )
     noncontextual_fraction_certified(model)
-    # one projection per context, applied once per global assignment
-    assert made == {ctx: 1 for ctx in scen.maximal_contexts}
-    assert applied == {ctx: len(lam) for ctx in scen.maximal_contexts}
-    assert sum(applied.values()) == 6 * 64
+    # the LP is handed over by its shape: no assignment is projected
+    assert made == {} and applied == {}
     # the LP of one row per (context, section) and one column per global
     # assignment, as a comprehension over every (section, assignment) pair
     rows = []
@@ -425,7 +427,13 @@ def test_ncf_lp_build_restricts_once_per_context_and_assignment(monkeypatch):
         for section in sections(scen, ctx):
             rows.append([F(int(restrict(g, ctx) == section)) for g in lam])
             bounds.append(model.tables[ctx][section])
-    assert lps == [LinearProgram.build([F(1)] * len(lam), rows, bounds)]
+    (lp,) = lps
+    assert stored(lp) == LinearProgram.build([F(1)] * len(lam), rows, bounds)
+
+
+def stored(lp):
+    """The LP with every column stored."""
+    return LinearProgram(lp.objective, lp.bounds, lp.columns, lp.den)
 
 
 def restrict_comprehension_lp(model):
@@ -493,7 +501,7 @@ def test_ncf_lp_columns_beyond_binary_cycles(make, monkeypatch):
     solution = noncontextual_fraction_certified(model)
     objective, rows, bounds = restrict_comprehension_lp(model)
     (lp,) = lps
-    assert lp == LinearProgram.build(objective, rows, bounds)
+    assert stored(lp) == LinearProgram.build(objective, rows, bounds)
     assert lp.rows == tuple(
         tuple((j, a) for j, a in enumerate(row) if a) for row in rows
     )
@@ -577,6 +585,14 @@ def test_liar_cycle_not_a_cycle(fr_model):
         liar_cycle_witness(fr_model, ["A", "U", "B", "W"])  # A,U not a context
     with pytest.raises(NotACycle):
         liar_cycle_witness(fr_model, ["A", "B"])
+
+
+def test_liar_cycle_unknown_start_outcome(fr_model):
+    with pytest.raises(UnknownSection, match="^A has no outcome '9'$"):
+        liar_cycle_witness(fr_model, ["A", "B", "U", "W"], "9")
+    # a cycle is checked first
+    with pytest.raises(NotACycle):
+        liar_cycle_witness(fr_model, ["A", "U", "B", "W"], "9")
 
 
 def test_liar_witness_implies_logical(fr_model, pr_model):

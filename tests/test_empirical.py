@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from epimodal import (
     Semiring,
+    build_fr_model,
     build_pr_model,
     check_no_disturbance,
     four_cycle_scenario,
@@ -20,6 +21,7 @@ import epimodal.empirical
 from epimodal.contextuality import classify, noncontextual_fraction_certified
 from epimodal.empirical import require_no_disturbance
 from epimodal.modal import translate
+from epimodal.scenario import all_contexts, restrict, sections
 from epimodal.errors import (
     DisturbingModel,
     NegativeValue,
@@ -122,6 +124,37 @@ def test_marginal_compatible_with_restriction(fr_by_hand):
         key = restrict(sec, ("B",))
         twostep[key] = twostep.get(key, F(0)) + v
     assert twostep == full
+
+
+def restrict_fold_marginal(model, ctx, sub):
+    """Oracle: each cell restricted as a ``Section`` and folded into its
+    subsection's value one at a time."""
+    out = {sec: F(0) for sec in sections(model.scenario, sub)}
+    for sec, v in model.tables[ctx].items():
+        target = restrict(sec, sub)
+        out[target] = epimodal.empirical._combine(model.semiring, (out[target], v))
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    build_fr_model,
+    build_pr_model,
+    lambda: uniform_rational_lift(build_pr_model()),
+    lambda: new_model(
+        new_scenario(["B", "A", "C"], [{"A", "B", "C"}],
+                     {"A": ["0", "1", "2"], "B": ["x", "y"], "C": ["0", "1"]}),
+        Semiring.RATIONAL,
+        {("A", "B", "C"): {"x,0,1": F(1, 3), "y,2,0": F(1, 2), "x,2,1": F(1, 6)}},
+    ),
+])
+def test_marginal_matches_the_restrict_fold(make):
+    model = make()
+    for ctx in model.scenario.maximal_contexts:
+        for sub in all_contexts(model.scenario):
+            if set(sub) <= set(ctx):
+                got = marginal(model, ctx, sub)
+                expected = restrict_fold_marginal(model, ctx, sub)
+                assert list(got.items()) == list(expected.items())
 
 
 def test_no_disturbance_table_one(fr_by_hand):

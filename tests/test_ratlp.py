@@ -1,13 +1,16 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epimodal.contextuality import noncontextual_fraction_certified
+from epimodal import Semiring, build_fr_model, new_model, new_scenario
+from epimodal.contextuality import _ncf_lp, noncontextual_fraction_certified
 from epimodal.errors import Malformed, Unbounded
-from epimodal.ratlp import LinearProgram, _verify_certificate, solve
+from epimodal.ratlp import LinearProgram, ProductLP, _verify_certificate, solve
+from epimodal.scenario import sections
 from model_random import noisy_cycle_model
 
 F = Fraction
@@ -549,3 +552,158 @@ def test_rows_round_trip_build(n, m, data):
 def test_every_linear_program_is_checked(fields, message):
     with pytest.raises(Malformed, match=message):
         LinearProgram(*fields)
+
+
+# -- the noncontextual-fraction LP by its shape --------------------------------
+
+# Context shapes by position in the declared order, each with a context of
+# three measurements.
+PRODUCT_SHAPES = [
+    [(0, 1, 2)],
+    [(0, 1, 2), (2, 3), (0, 3)],
+    [(0, 1, 3), (1, 2), (2, 3)],
+    [(1, 2, 3), (0, 1), (0, 3)],
+]
+
+
+@st.composite
+def non_disturbing_models(draw):
+    """A rational model over 3-4 measurements of 2 or 3 outcomes, declared
+    in a drawn order: a global distribution's pushforward mixed with a box
+    whose marginals on every proper subcontext are uniform (a parity box on
+    a context whose outcome counts agree, else the uniform table), so it
+    is non-disturbing and may be contextual."""
+    shape = draw(st.sampled_from(PRODUCT_SHAPES))
+    n = 1 + max(max(ctx) for ctx in shape)
+    names = draw(st.permutations("ABCD"))[:n]
+    counts = [draw(st.integers(2, 3)) for _ in range(n)]
+    scen = new_scenario(
+        names,
+        [{names[p] for p in ctx} for ctx in shape],
+        {m: [str(o) for o in range(k)] for m, k in zip(names, counts)},
+    )
+    weights = draw(st.lists(
+        st.integers(0, 3), min_size=math.prod(counts), max_size=math.prod(counts)
+    ))
+    weights[draw(st.integers(0, len(weights) - 1))] += 1
+    mix = draw(st.sampled_from([F(0), F(1, 2), F(3, 4), F(1)]))
+    pools = [scen.outcomes[m] for m in scen.measurements]
+    tables = {}
+    for ctx in scen.maximal_contexts:
+        at = [scen.measurements.index(m) for m in ctx]
+        pushed = {sec.values: F(0) for sec in sections(scen, ctx)}
+        for g, w in zip(itertools.product(*pools), weights):
+            pushed[tuple(g[p] for p in at)] += F(w, sum(weights))
+        ks = {len(scen.outcomes[m]) for m in ctx}
+        parity = draw(st.integers(0, max(ks) - 1))
+        box = {}
+        for values in pushed:
+            if len(ks) == 1:
+                (k,) = ks
+                hit = sum(map(int, values)) % k == parity
+                box[values] = F(int(hit), k ** (len(ctx) - 1))
+            else:
+                box[values] = F(1, len(pushed))
+        tables[ctx] = {
+            values: (1 - mix) * pushed[values] + mix * box[values]
+            for values in pushed
+        }
+    return new_model(scen, Semiring.RATIONAL, tables)
+
+
+def stored(lp: ProductLP) -> LinearProgram:
+    """The product LP with every column stored."""
+    return LinearProgram(lp.objective, lp.bounds, lp.columns, lp.den)
+
+
+def solved_with_bases(lp):
+    bases = []
+    sol = solved(lp, trace=lambda i, basis: bases.append(basis))
+    return sol.value, sol.point, sol.slack, sol.dual_point, sol.pivots, bases
+
+
+@settings(max_examples=60, deadline=None)
+@given(non_disturbing_models())
+def test_product_lp_pivots_like_its_stored_columns(model):
+    lp = _ncf_lp(model)
+    product = solved_with_bases(lp)
+    assert product == solved_with_bases(stored(lp))
+    assert 0 <= product[0] <= 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(non_disturbing_models(), st.data())
+def test_frontier_dp_prices_like_a_scan_of_every_column(model, data):
+    lp = _ncf_lp(model)
+    m = len(lp.bounds)
+    z = data.draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))
+    den = data.draw(st.integers(1, 6))
+    sums = [sum(z[i] for i in rows) for ((_, rows),) in lp.columns]
+    assert lp._suffix_minima(z)[0][0] == min(sums)
+    assert lp.dual_feasible(z, den) == (min(sums) >= den)
+    first = next((j for j, v in enumerate(sums) if v < den), None)
+    entering = lp.pricing()(z, den)
+    assert entering == stored(lp).pricing()(z, den)
+    if first is None:
+        assert entering is None
+    else:
+        assert entering == (
+            first,
+            ((lp.scale, lp.columns[first][0][1]),),
+            lp.scale * (sums[first] - den),
+        )
+
+
+NCF_LPS = {
+    "FR": build_fr_model,
+    "noisy 5-cycle": lambda: noisy_cycle_model(NOISE[:5], odd_at=2),
+    "noisy 6-cycle at 1/3": lambda: noisy_cycle_model([F(1, 3)] * 6),
+}
+
+
+@pytest.mark.parametrize("name", NCF_LPS)
+def test_ncf_certificate_corruptions_are_rejected_on_both_lp_types(name):
+    lp = _ncf_lp(NCF_LPS[name]())
+    sol = solved(lp)
+    optimum = (list(sol.point), sol.slack, sol.dual_point, sol.value)
+    corrupted = perturbed_certificates(lp, *optimum)
+    assert len(corrupted) == 5
+    for target in (lp, stored(lp)):
+        for check in CERTIFICATE_CHECKS:
+            check(target, *optimum)
+        for message, certificate in corrupted.items():
+            for check in CERTIFICATE_CHECKS:
+                with pytest.raises(Malformed, match=message):
+                    check(target, *certificate)
+
+
+@pytest.mark.parametrize("n,noise,pivots", [
+    (10, F(1, 3), 221),
+    (12, F(1, 3), 812),
+    (14, F(1, 10), 28),
+])
+def test_ncf_wall_pivots_and_closed_form(n, noise, pivots):
+    solution = noncontextual_fraction_certified(noisy_cycle_model([noise] * n))
+    assert solution.value == min(1, n * noise / 2)
+    assert solution.pivots == pivots
+    assert len(solution.point) == 2 ** n
+
+
+def test_product_lp_column_matches_the_expansion():
+    lp = _ncf_lp(noisy_cycle_model(NOISE[:4]))
+    assert [lp.column(j) for j in range(len(lp.objective))] == list(lp.columns)
+    assert len(lp.rows) == len(lp.bounds) == 16
+
+
+@pytest.mark.parametrize("fields,message", [
+    # (radices, contexts, bounds)
+    (((2, 0), ((0, 1),), (F(1),) * 0), "outcome"),
+    (((2, 2), ((1, 0),), (F(1),) * 4), "ascending"),
+    (((2, 2), ((0, 2),), (F(1),) * 4), "ascending"),
+    (((2, 2), ((),), ()), "ascending"),
+    (((2, 2), ((0, 1),), (F(1),) * 3), "row/bound count"),
+    (((2, 2), ((0, 1),), (F(1),) * 3 + (F(-1),)), "negative bound"),
+])
+def test_every_product_lp_is_checked(fields, message):
+    with pytest.raises(Malformed, match=message):
+        ProductLP(*fields)
