@@ -2,14 +2,19 @@
 
 The decision side works possibilistically, on the supports of the model's
 own tables (a rational model has the same supports as its Boolean
-collapse, so no collapse is built): enumerate the global sections
-consistent with every context's support, then check which supported local
-sections extend.  The liar-cycle search reads the same supports around a
-cycle of two-measurement contexts (``cycle_order`` finds the cycle).  The
-quantitative side is the noncontextual fraction: the largest total weight
-of a subdistribution on global sections whose marginals are dominated by
-the model, solved exactly by rational simplex on the LP's shape (outcome
-counts, contexts and bounds), without listing its global assignments.
+collapse, so no collapse is built).  One walk over the scenario's frontier
+plan (``scenario.frontier_plan``, the path decomposition the
+noncontextual-fraction LP prices on) keeps the transitions that are both
+reachable and completable: strong contextuality is an empty walk, the
+non-extendable sections are the supported rows no kept transition meets,
+and the global sections are listed from the walk without building a
+prefix that no global section extends.  The liar-cycle search reads the
+same supports around a cycle of two-measurement contexts (``cycle_order``
+finds the cycle).  The quantitative side is the noncontextual fraction:
+the largest total weight of a subdistribution on global sections whose
+marginals are dominated by the model, solved exactly by rational simplex
+on the LP's shape (outcome counts, contexts and bounds), without listing
+its global assignments.
 
 Hierarchy (from weakest to strongest):
   noncontextual < probabilistic < logical < strong.
@@ -20,7 +25,6 @@ and logically contextual when some supported local section never extends.
 from __future__ import annotations
 
 import enum
-import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +34,6 @@ from . import scenario as sc
 from .empirical import (
     EmpiricalModel,
     Semiring,
-    new_model,
     require_no_disturbance,
     support,
 )
@@ -66,36 +69,148 @@ class ContextualityReport:
         return None if self.solution is None else self.solution.value
 
 
-def global_sections(model: EmpiricalModel) -> list[GlobalSection]:
-    """Global sections restricting into every context's support.
+State = tuple[str, ...]
 
-    Enumerates level by level over the measurements in declared order:
-    each level extends every surviving prefix by every outcome of the next
-    measurement, then keeps the prefixes whose projection onto each context
-    completed at that level is supported.  The result is in lexicographic
-    outcome order.  A level holds at most prod |O_m| prefixes, the number
-    of global assignments, which ``analyze`` lists as mutual worlds anyway.
+
+@dataclass(frozen=True)
+class FrontierWalk:
+    """The supports of a model walked over its scenario's frontier plan.
+
+    ``moves[d]`` maps each state of F_(d-1) that is reachable from the
+    empty state and can be completed to its transitions (outcome of
+    position d, state of F_d) that are live (each context completed at d
+    supports the row the transition meets) and lead to a completable
+    state.  A state is the tuple of its positions' outcomes.  ``rows[b]``
+    maps the values of each supported section of ``contexts[b]`` to it, and
+    ``widths[d]`` counts the reachable states of F_(d-1) that the forward
+    pass held.
+    """
+
+    contexts: tuple[Context, ...]
+    plan: tuple[sc.FrontierStep, ...]
+    rows: tuple[dict[tuple[str, ...], Section], ...]
+    moves: tuple[dict[State, list[tuple[str, State]]], ...]
+    widths: tuple[int, ...]
+
+    @property
+    def strong(self) -> bool:
+        """True iff the empty state cannot be completed: no global section."""
+        return not self.moves[0]
+
+    def extended(self) -> list[set[tuple[str, ...]]]:
+        """Per context, the values of the rows met by a transition with a
+        reachable source and a completable target: the sections that some
+        global section restricts to."""
+        out: list[set[tuple[str, ...]]] = [set() for _ in self.rows]
+        for step, moves in zip(self.plan, self.moves):
+            for b, at in step.done:
+                meet = sc.picker(at)
+                out[b] = {
+                    meet(s + (o,)) for s, outs in moves.items() for o, _ in outs
+                }
+        return out
+
+    def non_extendable(self) -> list[tuple[Context, Section]]:
+        """The supported sections no global section restricts to, by
+        context, then by values."""
+        return [
+            (ctx, rows[values])
+            for ctx, rows, seen in zip(self.contexts, self.rows, self.extended())
+            for values in sorted(rows)
+            if values not in seen
+        ]
+
+
+def frontier_walk(model: EmpiricalModel) -> FrontierWalk:
+    """Walk the model's supports over its scenario's frontier plan.
+
+    A forward pass from the empty state keeps, at each depth, the live
+    transitions out of the reachable states; it is exact because a
+    context's last position fixes every position of the context.  A
+    backward pass then keeps the transitions into completable states (at
+    depth n the empty state is completable).  The walk never holds more
+    states at a depth than the consistent prefixes there, nor than the
+    assignments of the frontier.
     """
     scen = model.scenario
     meas = scen.measurements
-    # contexts become checkable once their last measurement is assigned: then
-    # the prefix is projected onto the context and looked up among the
-    # values of its supported sections
-    ready: dict[int, list] = {i: [] for i in range(len(meas))}
-    for ctx in scen.maximal_contexts:
-        last = max(meas.index(m) for m in ctx)
-        ready[last].append((
-            sc.projection(meas[: last + 1], ctx),
-            {sec.values for sec in support(model, ctx)},
-        ))
-    prefixes: list[tuple[str, ...]] = [()]
-    for depth, m in enumerate(meas):
-        prefixes = [p + (o,) for p in prefixes for o in scen.outcomes[m]]
-        for project, supported in ready[depth]:
-            prefixes = list(itertools.compress(
-                prefixes, map(supported.__contains__, map(project, prefixes))
-            ))
-    return [Section(meas, values) for values in prefixes]
+    position = {m: i for i, m in enumerate(meas)}
+    plan = sc.frontier_plan(
+        tuple([len(scen.outcomes[m]) for m in meas]),
+        tuple([tuple([position[m] for m in ctx]) for ctx in scen.maximal_contexts]),
+    )
+    rows = tuple([
+        {sec.values: sec for sec, v in model.tables[ctx].items() if v}
+        for ctx in scen.maximal_contexts
+    ])
+    layers = []
+    widths = []
+    states: dict[State, None] = {(): None}
+    for m, step in zip(meas, plan):
+        keep = sc.picker(step.kept)
+        checks = [(sc.picker(at), rows[b]) for b, at in step.done]
+        live = {}
+        targets: dict[State, None] = {}
+        for s in states:
+            outs = []
+            for o in scen.outcomes[m]:
+                here = s + (o,)
+                for meet, supported in checks:
+                    if meet(here) not in supported:
+                        break
+                else:
+                    t = keep(here)
+                    outs.append((o, t))
+                    targets[t] = None
+            if outs:
+                live[s] = outs
+        layers.append(live)
+        widths.append(len(states))
+        states = targets
+    # F_(n-1) is empty: ``states`` is {(): None} or, if nothing got
+    # through, empty
+    for d in range(len(layers) - 1, -1, -1):
+        good = {}
+        for s, outs in layers[d].items():
+            kept = [move for move in outs if move[1] in states]
+            if kept:
+                good[s] = kept
+        layers[d] = states = good
+    return FrontierWalk(
+        scen.maximal_contexts, plan, rows, tuple(layers), tuple(widths)
+    )
+
+
+def global_sections(
+    model: EmpiricalModel, walk: FrontierWalk | None = None
+) -> list[GlobalSection]:
+    """Global sections restricting into every context's support, in
+    lexicographic declared-outcome order.
+
+    Read off the model's frontier walk (``walk``, built here when not
+    given), split at the middle depth h: each prefix of positions < h
+    that the walk's transitions reach, times the memoised suffixes of the
+    state it ends in.  Every transition leads to a completable state, so
+    no prefix or suffix is built that no global section extends.
+    """
+    if walk is None:
+        walk = frontier_walk(model)
+    if walk.strong:
+        return []
+    moves = walk.moves
+    middle = len(moves) // 2
+    heads: list[tuple[State, State]] = [((), ())]
+    for d in range(middle):
+        step = moves[d]
+        heads = [(p + (o,), t) for p, s in heads for o, t in step[s]]
+    tails: dict[State, list[State]] = {(): [()]}
+    for d in range(len(moves) - 1, middle - 1, -1):
+        tails = {
+            s: [(o,) + tail for o, t in outs for tail in tails[t]]
+            for s, outs in moves[d].items()
+        }
+    meas = model.scenario.measurements
+    return [Section(meas, p + tail) for p, s in heads for tail in tails[s]]
 
 
 def extendable(model: EmpiricalModel, context: Iterable[str], section: Section) -> bool:
@@ -103,24 +218,8 @@ def extendable(model: EmpiricalModel, context: Iterable[str], section: Section) 
     ctx = model.scenario.canonical_context(context)
     if section not in support(model, ctx):
         raise SectionNotInSupport(section)
-    project = sc.projection(model.scenario.measurements, ctx)
-    return any(
-        project(g.values) == section.values for g in global_sections(model)
-    )
-
-
-def _non_extendable(
-    model: EmpiricalModel, globals_: Sequence[GlobalSection]
-) -> list[tuple[Context, Section]]:
-    """Supported sections no global section in ``globals_`` restricts to."""
-    out = []
-    values = [g.values for g in globals_]
-    for ctx in model.scenario.maximal_contexts:
-        image = set(map(sc.projection(model.scenario.measurements, ctx), values))
-        for section in sorted(support(model, ctx), key=lambda s: s.values):
-            if section.values not in image:
-                out.append((ctx, section))
-    return out
+    b = model.scenario.maximal_contexts.index(ctx)
+    return section.values in frontier_walk(model).extended()[b]
 
 
 def noncontextual_fraction(model: EmpiricalModel) -> Fraction:
@@ -176,7 +275,11 @@ def noncontextual_decomposition(
 
     Both parts are read off the solution's slack s = p - (pushed-forward
     optimum) of each cell p: the noncontextual part is (p - s) / ncf and
-    the residual is the normalised slack s / (1 - ncf).
+    the residual is the normalised slack s / (1 - ncf).  They are built as
+    models directly, without ``new_model``'s checks: the certificate has
+    checked s >= 0 and p - s = A.x >= 0, and every global assignment meets
+    one row per context, so each context's p - s sums to ncf and its slack
+    to 1 - ncf.
     """
     if solution is None:
         solution = noncontextual_fraction_certified(model)
@@ -189,8 +292,8 @@ def noncontextual_decomposition(
             nc_tables[ctx][section] = (model.tables[ctx][section] - s) / ncf
         if ncf < 1:
             res_tables[ctx][section] = s / (1 - ncf)
-    nc_part = new_model(scen, Semiring.RATIONAL, nc_tables) if ncf > 0 else None
-    residual = new_model(scen, Semiring.RATIONAL, res_tables) if ncf < 1 else None
+    nc_part = EmpiricalModel(scen, Semiring.RATIONAL, nc_tables) if ncf > 0 else None
+    residual = EmpiricalModel(scen, Semiring.RATIONAL, res_tables) if ncf < 1 else None
     return ncf, nc_part, residual
 
 
@@ -205,12 +308,13 @@ def classify(model: EmpiricalModel) -> ContextualityReport:
     for a Boolean model), so ``noncontextual_decomposition`` can reuse it.
     """
     require_no_disturbance(model)
-    globals_ = tuple(global_sections(model))
-    witnesses = tuple(_non_extendable(model, globals_))
+    walk = frontier_walk(model)
+    globals_ = tuple(global_sections(model, walk))
+    witnesses = tuple(walk.non_extendable())
     solution = None
     if model.semiring is Semiring.RATIONAL:
         solution = noncontextual_fraction_certified(model)
-    if not globals_:
+    if walk.strong:
         level = HierarchyLevel.STRONGLY_CONTEXTUAL
     elif witnesses:
         level = HierarchyLevel.LOGICAL_CONTEXTUAL

@@ -21,10 +21,11 @@ Field names are part of the on-disk contract:
 ``dumps`` writes exactly the text of ``json.dumps(payload, indent=2)``
 plus a newline, without the standard library's pure-Python indenting
 encoder: strings go through the C ``encode_basestring_ascii``, a list of
-strings is one join over them, any other scalar (int, bool, None, float)
-is ``json.dumps`` of that scalar alone, and the pieces are joined once.  Lists and tuples are
-arrays, dicts are objects in insertion order; a dict key that is not a
-``str`` raises TypeError.
+strings is one join over them (over the items as they are when none holds
+a character that needs escaping), any other scalar (int, bool, None,
+float) is ``json.dumps`` of that scalar alone, and the pieces are joined
+once.  Lists and tuples are arrays, dicts are objects in insertion order;
+a dict key that is not a ``str`` raises TypeError.
 """
 
 from __future__ import annotations
@@ -64,6 +65,11 @@ def _context_key(context) -> str:
     return ",".join(context)
 
 
+# The bytes ``encode_basestring_ascii`` writes as they are: printable ASCII
+# without the quote and the backslash.
+_PLAIN = bytes([b for b in range(0x20, 0x7F) if b not in b'"\\'])
+
+
 def _encode(value, newline: str, parts: list) -> None:
     """Append to ``parts`` the text ``json.dumps(value, indent=2)`` writes
     for ``value`` at the depth whose line break and indent are ``newline``."""
@@ -76,7 +82,12 @@ def _encode(value, newline: str, parts: list) -> None:
         inner = newline + "  "
         parts.append("[" + inner)
         try:
-            parts.append(("," + inner).join(map(_string, value)))
+            text = "".join(value)
+            if text.isascii() and not text.encode("ascii").translate(None, _PLAIN):
+                # no character to escape: the items go out as they are
+                parts.append('"' + ('",' + inner + '"').join(value) + '"')
+            else:
+                parts.append(("," + inner).join(map(_string, value)))
         except TypeError:  # not a list of strings only
             for i, item in enumerate(value):
                 if i:

@@ -42,13 +42,16 @@ Each LP type prices its own columns, behind one ``pricing`` method, so
   positions in order.  Its reduced cost is L.(sum_b z[row_b(g)] - den),
   so Bland's rule enters the lexicographically first g whose sum is below
   den.  The frontier F_d holds the positions <= d that lie in a context
-  ending after d; a state is an assignment of F_d.  Static tables give,
-  for each state of F_(d-1) and outcome of d, the rows of the contexts
-  completed at d and the next state.  A backward pass computes, for each
-  state, the exact minimum of the sums still to come; a forward pass then
-  takes at each depth the first outcome that keeps a completion below
-  den, and never backtracks.  On an n-cycle that is 8 transitions per
-  depth against up to 2^n columns, and no state space is larger than N.
+  ending after d; a state is an assignment of F_d.  The frontier plan
+  (``scenario.frontier_plan``, which ``contextuality``'s possibilistic
+  walk also runs on) says which positions each step keeps and which
+  contexts it completes; from it, static tables give, for each state of
+  F_(d-1) and outcome of d, the rows of the contexts completed at d and
+  the next state.  A backward pass computes, for each state, the exact
+  minimum of the sums still to come; a forward pass then takes at each
+  depth the first outcome that keeps a completion below den, and never
+  backtracks.  On an n-cycle that is 8 transitions per depth against up
+  to 2^n columns, and no state space is larger than N.
 
 The Edmonds/Bareiss update divides each row exactly by the previous
 pivot.  Rows whose entry in the entering column is 0 would only be
@@ -90,6 +93,7 @@ from fractions import Fraction
 from typing import ClassVar
 
 from .errors import Malformed, Unbounded
+from .scenario import frontier_plan
 
 
 def _fraction(v) -> Fraction:
@@ -331,40 +335,23 @@ class ProductLP:
 
     @functools.cached_property
     def _steps(self) -> list[tuple[int, list[list[int]], list[int], tuple]]:
-        """(k_d, rows, next, picks) per depth d.  Transition t = s.k_d + o
-        takes state s of F_(d-1) and outcome o of position d; rows[c][t] is
-        the row it meets in the c-th context completed at d, next[t] its
-        state of F_d, and picks[o] slices out the transitions of outcome o.
-        A state is the mixed-radix index of an assignment of its frontier's
-        positions, in ascending order."""
+        """(k_d, rows, next, picks) per step d of the frontier plan.
+        Transition t = s.k_d + o takes state s of F_(d-1) and outcome o of
+        position d; rows[c][t] is the row it meets in the c-th context
+        completed at d, next[t] its state of F_d, and picks[o] slices out
+        the transitions of outcome o.  A state is the mixed-radix index of
+        an assignment of its frontier's positions, in ascending order."""
         steps = []
-        before: tuple[int, ...] = ()
-        for d, k in enumerate(self.radices):
-            after = tuple(sorted({
-                p for ps in self.contexts if ps[-1] > d for p in ps if p <= d
-            }))
-            here = (*before, d)
-            # the place values, over ``here``, of the completed contexts'
-            # rows and of the next state
-            done = [
-                (offset, [weights[p] for p in here])
-                for (offset, weights), ps in zip(self._weights, self.contexts)
-                if ps[-1] == d
-            ]
-            place = [0] * len(here)
-            size = 1
-            for p in reversed(after):
-                place[here.index(p)] = size
-                size *= self.radices[p]
+        for k, here, _, place, done in frontier_plan(self.radices, self.contexts):
             moves = list(itertools.product(*[range(self.radices[p]) for p in here]))
-            rows = [
-                [offset + sum(map(operator.mul, g, weights)) for g in moves]
-                for offset, weights in done
-            ]
+            rows = []
+            for b, _ in done:
+                offset, weights = self._weights[b]
+                weights = [weights[p] for p in here]
+                rows.append([offset + sum(map(operator.mul, g, weights)) for g in moves])
             nxt = [sum(map(operator.mul, g, place)) for g in moves]
             picks = tuple([slice(o, None, k) for o in range(k)])
             steps.append((k, rows, nxt, picks))
-            before = after
         return steps
 
     def _suffix_minima(self, values: Sequence[int]) -> list[list[int]]:

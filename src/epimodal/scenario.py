@@ -11,6 +11,9 @@ do not restrict ``Section`` objects one by one: :func:`projection` finds the
 positions of a subcontext inside a context once and returns a function from
 a values tuple to the sub-tuple, which those loops compare against sets of
 plain value tuples.  :func:`restrict` stays the ``Section``-level operation.
+:func:`frontier_plan` lays the measurement positions out as a path of
+frontiers along the contexts; the noncontextual-fraction LP and the
+possibilistic walk of ``contextuality`` both run on it.
 
 All identifiers are opaque strings.  Contexts are canonicalized to tuples
 sorted by the declared measurement order, so that every listing produced
@@ -19,10 +22,12 @@ here is byte-stable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     CoverageError,
@@ -231,7 +236,13 @@ def projection(
     sub = set(subcontext)
     if not sub <= set(context):
         raise NotASubcontext(f"{sorted(sub)} is not inside {context}")
-    positions = [i for i, m in enumerate(context) if m in sub]
+    return picker([i for i, m in enumerate(context) if m in sub])
+
+
+def picker(
+    positions: Sequence[int],
+) -> Callable[[tuple[str, ...]], tuple[str, ...]]:
+    """Map a tuple to the tuple of its entries at ``positions``."""
     if len(positions) == 1:
         (i,) = positions
         return lambda values: (values[i],)
@@ -239,6 +250,63 @@ def projection(
         return lambda values: ()
     # itemgetter of two or more positions returns a tuple
     return operator.itemgetter(*positions)
+
+
+class FrontierStep(NamedTuple):
+    """Step d of a frontier plan: a transition takes a state of F_(d-1)
+    and one of the ``k`` outcomes of position d, so it assigns ``here`` =
+    F_(d-1) + (d,) in ascending order.  ``kept`` indexes the positions of
+    F_d in ``here``, ``place`` is the mixed-radix place value over ``here``
+    of a state of F_d (0 at a dropped position), and ``done`` holds
+    (context index, indices of its positions in ``here``) for each context
+    whose last position is d."""
+
+    k: int
+    here: tuple[int, ...]
+    kept: tuple[int, ...]
+    place: tuple[int, ...]
+    done: tuple[tuple[int, tuple[int, ...]], ...]
+
+
+@functools.lru_cache(maxsize=64)
+def frontier_plan(
+    radices: tuple[int, ...], contexts: tuple[tuple[int, ...], ...]
+) -> tuple[FrontierStep, ...]:
+    """The path decomposition of a product of outcome sets (``radices[p]``
+    outcomes at position p) by contexts given as ascending positions.
+
+    The frontier F_d holds the positions <= d that lie in a context ending
+    after d, and a state is an assignment of F_d; F_(n-1) is empty.  Every
+    position of a context ending at d is in that step's ``here``, so a
+    pass over the steps meets each context's row at its last position.
+    The plan depends on the shape alone and is cached by it: the
+    noncontextual-fraction LP and the possibilistic walk of one scenario
+    share it.
+    """
+    # the last position of the contexts that hold p: p is on F_d exactly
+    # for p <= d < reach[p]
+    reach = list(range(len(radices)))
+    for ps in contexts:
+        for p in ps:
+            reach[p] = max(reach[p], ps[-1])
+    steps = []
+    before: tuple[int, ...] = ()
+    for d, k in enumerate(radices):
+        here = (*before, d)
+        kept = tuple([i for i, p in enumerate(here) if reach[p] > d])
+        place = [0] * len(here)
+        size = 1
+        for i in reversed(kept):
+            place[i] = size
+            size *= radices[here[i]]
+        done = tuple([
+            (b, tuple([here.index(p) for p in ps]))
+            for b, ps in enumerate(contexts)
+            if ps[-1] == d
+        ])
+        steps.append(FrontierStep(k, here, kept, tuple(place), done))
+        before = tuple([here[i] for i in kept])
+    return tuple(steps)
 
 
 def is_compatible_family(family: Sequence[Section]) -> bool:

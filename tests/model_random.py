@@ -7,8 +7,10 @@ image of a random set of global assignments (always extendable), and
 fully random supports filtered by the no-disturbance check (frequently
 contextual); odd-parity patterns on cycles are injected for guaranteed
 strong contextuality.  ``noisy_cycle_model`` gives the rational n-cycles
-whose noncontextual-fraction LPs the solver suites run on, and
-``brute_force_globals`` is the global-section oracle.
+whose noncontextual-fraction LPs the solver suites run on.
+``brute_force_globals`` and ``level_wise_globals`` are global-section
+oracles and ``projected_non_extendable`` the witness oracle, for the
+frontier walk in ``contextuality``.
 """
 
 import itertools
@@ -23,7 +25,7 @@ from epimodal import (
     new_scenario,
     support,
 )
-from epimodal.scenario import Section, global_section_space, restrict
+from epimodal.scenario import Section, global_section_space, projection, restrict
 
 SHAPES = [
     (3, [{"A", "B"}, {"B", "C"}]),                       # path
@@ -72,6 +74,40 @@ def brute_force_globals(model):
         for g in global_section_space(model.scenario)
         if all(restrict(g, ctx) in supports[ctx] for ctx in supports)
     ]
+
+
+def level_wise_globals(model):
+    """Oracle: the global sections by extending every surviving prefix by
+    every outcome of the next measurement, keeping the prefixes whose
+    projection onto each context completed there is supported."""
+    scen = model.scenario
+    meas = scen.measurements
+    ready = {i: [] for i in range(len(meas))}
+    for ctx in scen.maximal_contexts:
+        last = max(meas.index(m) for m in ctx)
+        ready[last].append((
+            projection(meas[: last + 1], ctx),
+            {sec.values for sec in support(model, ctx)},
+        ))
+    prefixes = [()]
+    for depth, m in enumerate(meas):
+        prefixes = [p + (o,) for p in prefixes for o in scen.outcomes[m]]
+        for project, supported in ready[depth]:
+            prefixes = [p for p in prefixes if project(p) in supported]
+    return [Section(meas, values) for values in prefixes]
+
+
+def projected_non_extendable(model, globals_):
+    """Oracle: the supported sections that no section of ``globals_``
+    projects onto, by context, then by values."""
+    out = []
+    values = [g.values for g in globals_]
+    for ctx in model.scenario.maximal_contexts:
+        image = set(map(projection(model.scenario.measurements, ctx), values))
+        for section in sorted(support(model, ctx), key=lambda s: s.values):
+            if section.values not in image:
+                out.append((ctx, section))
+    return out
 
 
 def _scenario(shape):

@@ -313,6 +313,7 @@ def test_analyze_runs_each_stage_once(fr_model, monkeypatch):
     calls = {
         "solve": 0,
         "global_sections": 0,
+        "frontier_walk": 0,
         "global_section_space": 0,
         "collapse_rational": 0,
         "translate": 0,
@@ -337,6 +338,10 @@ def test_analyze_runs_each_stage_once(fr_model, monkeypatch):
         counting("global_sections", epimodal.contextuality.global_sections),
     )
     monkeypatch.setattr(
+        epimodal.contextuality, "frontier_walk",
+        counting("frontier_walk", epimodal.contextuality.frontier_walk),
+    )
+    monkeypatch.setattr(
         epimodal.scenario, "global_section_space",
         counting(
             "global_section_space", epimodal.scenario.global_section_space
@@ -351,10 +356,12 @@ def test_analyze_runs_each_stage_once(fr_model, monkeypatch):
     # the space is never built: the LP's columns come from outcome tuples,
     # the decomposition reads the LP's slack and translate enumerates
     # nothing; classify and the liar search read the model's own supports,
-    # so no Boolean copy is made
+    # so no Boolean copy is made, and classify lists the global sections
+    # from its one walk
     assert calls == {
         "solve": 1,
         "global_sections": 1,
+        "frontier_walk": 1,
         "global_section_space": 0,
         "collapse_rational": 0,
         "translate": 1,

@@ -26,11 +26,13 @@ from epimodal import (
     support,
     uniform_rational_lift,
 )
+import epimodal.contextuality
+import epimodal.empirical
 import epimodal.ratlp
 import epimodal.scenario
 from epimodal.contextuality import (
-    _non_extendable,
     cycle_order,
+    frontier_walk,
     noncontextual_fraction_certified,
 )
 from epimodal.errors import (
@@ -49,7 +51,13 @@ from epimodal.scenario import (
     restrict,
     sections,
 )
-from model_random import SHAPES, brute_force_globals, noisy_cycle_model
+from model_random import (
+    SHAPES,
+    brute_force_globals,
+    level_wise_globals,
+    noisy_cycle_model,
+    projected_non_extendable,
+)
 
 F = Fraction
 
@@ -123,13 +131,14 @@ def _shift_supports(scen, shifts):
 
 @st.composite
 def multi_outcome_models(draw):
-    """Boolean models over the property-suite shapes with 2-4 outcomes per
-    measurement in any label order: supports that are the image of some
-    global assignments, full tables with one cell knocked out per context,
-    or (on shapes of two-measurement contexts) permutation supports, which
-    are strongly contextual on a cycle whose shifts do not cancel."""
+    """Boolean models over the property-suite shapes, measurements declared
+    in any order, with 2-4 outcomes per measurement in any label order:
+    supports that are the image of some global assignments, full tables
+    with one cell knocked out per context, or (on shapes of
+    two-measurement contexts) permutation supports, which are strongly
+    contextual on a cycle whose shifts do not cancel."""
     n, contexts = draw(st.sampled_from(SHAPES))
-    meas = ["A", "B", "C", "D"][:n]
+    meas = draw(st.permutations(["A", "B", "C", "D"][:n]))  # declared order
     labels = ["0", "1", "2", "x"]
     modes = ["image", "punctured"]
     if all(len(c) == 2 for c in contexts):
@@ -166,19 +175,36 @@ def multi_outcome_models(draw):
     })
 
 
+def assert_walk_matches_the_oracles(model, globals_):
+    """The walk's listing, witnesses, level and extendability against the
+    global sections ``globals_`` found by an oracle: the witnesses are the
+    supported sections no global section restricts to."""
+    contexts = model.scenario.maximal_contexts
+    assert global_sections(model) == globals_ == level_wise_globals(model)
+    witnesses = [
+        (ctx, sec)
+        for ctx in contexts
+        for sec in sorted(support(model, ctx), key=lambda s: s.values)
+        if all(restrict(g, ctx) != sec for g in globals_)
+    ]
+    assert projected_non_extendable(model, globals_) == witnesses
+    report = classify(model)
+    assert report.global_support == tuple(globals_)
+    assert report.non_extendable == tuple(witnesses)  # the same order
+    assert report.level is (
+        HierarchyLevel.STRONGLY_CONTEXTUAL if not globals_
+        else HierarchyLevel.LOGICAL_CONTEXTUAL if witnesses
+        else HierarchyLevel.NONCONTEXTUAL
+    )
+    for ctx in contexts:
+        for sec in support(model, ctx):
+            assert extendable(model, ctx, sec) == ((ctx, sec) not in witnesses)
+
+
 @settings(max_examples=200, deadline=None)
 @given(multi_outcome_models())
 def test_global_sections_and_witnesses_match_brute_force(model):
-    got = global_sections(model)
-    expected = brute_force_globals(model)
-    assert got == expected  # the same sections in the same order
-    witnesses = [
-        (ctx, sec)
-        for ctx in model.scenario.maximal_contexts
-        for sec in sorted(support(model, ctx), key=lambda s: s.values)
-        if all(restrict(g, ctx) != sec for g in expected)
-    ]
-    assert _non_extendable(model, got) == witnesses
+    assert_walk_matches_the_oracles(model, brute_force_globals(model))
 
 
 def test_global_sections_of_a_strongly_contextual_three_outcome_cycle():
@@ -193,9 +219,53 @@ def test_global_sections_of_a_strongly_contextual_three_outcome_cycle():
     model = new_model(scen, Semiring.BOOLEAN, {
         ctx: {sec: 1 for sec in supports[ctx]} for ctx in scen.maximal_contexts
     })
-    assert global_sections(model) == brute_force_globals(model) == []
-    assert len(_non_extendable(model, [])) == 12  # every supported section
-    assert classify(model).level is HierarchyLevel.STRONGLY_CONTEXTUAL
+    assert brute_force_globals(model) == []
+    assert_walk_matches_the_oracles(model, [])
+    assert frontier_walk(model).strong
+    assert len(classify(model).non_extendable) == 12  # every supported section
+
+
+def test_walk_on_three_measurement_contexts_in_shuffled_order():
+    # a ring of six triples (a, b, c) over twelve measurements, declared
+    # out of ring order; a = 1 forces c = 1 along the ring, but the last
+    # triple forbids a = c = 1, so no section with X0 = 1 extends
+    ring = [f"X{i}" for i in range(12)]
+    triples = [(ring[2 * i], ring[2 * i + 1], ring[(2 * i + 2) % 12]) for i in range(6)]
+    declared = ring[::3] + ring[1::3] + ring[2::3]
+    scen = new_scenario(declared, triples, {m: ["1", "0"] for m in ring})
+    tables = {}
+    for i, (a, b, c) in enumerate(triples):
+        forbidden = ("1", "1") if i == 5 else ("1", "0")
+        ctx = scen.canonical_context((a, b, c))
+        tables[ctx] = {
+            sec: int((sec[a], sec[c]) != forbidden) for sec in sections(scen, ctx)
+        }
+    model = new_model(scen, Semiring.BOOLEAN, tables)
+    globals_ = brute_force_globals(model)
+    assert globals_ and all(g["X0"] == "0" for g in globals_)
+    assert_walk_matches_the_oracles(model, globals_)
+    assert classify(model).level is HierarchyLevel.LOGICAL_CONTEXTUAL
+
+
+def test_walk_holds_two_states_on_sixteen_equal_measurements():
+    # all 120 pairs of 16 binary measurements support only "equal": the
+    # frontier at depth d is every position <= d, yet only the all-0 and
+    # all-1 states are reachable
+    meas = [f"M{i}" for i in range(16)]
+    scen = new_scenario(
+        meas, itertools.combinations(meas, 2), {m: ["0", "1"] for m in meas}
+    )
+    model = new_model(scen, Semiring.BOOLEAN, {
+        ctx: {"0,0": 1, "1,1": 1} for ctx in scen.maximal_contexts
+    })
+    walk = frontier_walk(model)
+    assert max(walk.widths) <= 2
+    assert all(len(moves) <= 2 for moves in walk.moves)
+    assert [g.key() for g in global_sections(model, walk)] == [
+        ",".join("0" * 16), ",".join("1" * 16)
+    ]
+    assert walk.non_extendable() == []
+    assert_walk_matches_the_oracles(model, level_wise_globals(model))
 
 
 def test_extendable(fr_model):
@@ -359,12 +429,20 @@ DECOMPOSED = {
 }
 
 
-@pytest.mark.parametrize("name", DECOMPOSED)
-def test_decomposition_matches_pushforward_oracle(name):
-    model = DECOMPOSED[name]()
+def assert_parts_are_validated_models(model):
+    """The decomposition's parts equal the models ``new_model`` builds and
+    checks from their tables, and the pushforward oracle's parts."""
     solution = noncontextual_fraction_certified(model)
     got = noncontextual_decomposition(model, solution)
+    for part in got[1:]:
+        if part is not None:
+            assert part == new_model(part.scenario, Semiring.RATIONAL, part.tables)
     assert got == pushforward_decomposition(model, solution)
+
+
+@pytest.mark.parametrize("name", DECOMPOSED)
+def test_decomposition_matches_pushforward_oracle(name):
+    assert_parts_are_validated_models(DECOMPOSED[name]())
 
 
 def test_decomposition_of_a_solution_builds_and_solves_nothing(
@@ -378,9 +456,20 @@ def test_decomposition_of_a_solution_builds_and_solves_nothing(
     def refuse(*args, **kwargs):
         raise AssertionError("the decomposition must read the given solution")
 
+    made = []
+
+    def counting_new_model(*args, **kwargs):
+        made.append(args)
+        return new_model(*args, **kwargs)
+
     monkeypatch.setattr(epimodal.scenario, "global_section_space", refuse)
     monkeypatch.setattr(epimodal.scenario, "projection", refuse)
     monkeypatch.setattr(epimodal.ratlp, "solve", refuse)
+    # the parts are built as models directly, not validated again
+    monkeypatch.setattr(epimodal.empirical, "new_model", counting_new_model)
+    monkeypatch.setattr(
+        epimodal.contextuality, "new_model", counting_new_model, raising=False
+    )
     for model, solution in solutions:
         ncf, nc, residual = noncontextual_decomposition(model, solution)
         assert ncf == solution.value
@@ -390,6 +479,7 @@ def test_decomposition_of_a_solution_builds_and_solves_nothing(
                     (1 - ncf) * residual.tables[ctx][sec] if residual else 0
                 )
                 assert combined == v
+    assert made == []
 
 
 def test_ncf_lp_build_restricts_once_per_context_and_assignment(monkeypatch):
@@ -702,3 +792,9 @@ def test_fab_three_conditions_on_worked_models(fr_model, pr_model):
             for ctx in supports
         )
         assert cond1 == cond2 == cond3 == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_cycle_models().filter(lambda m: m.semiring is Semiring.RATIONAL))
+def test_decomposition_parts_of_random_rational_cycles(model):
+    assert_parts_are_validated_models(model)

@@ -175,6 +175,29 @@ def test_dumps_is_the_standard_indent_2_text(tree):
     assert dumps(tree) == json.dumps(tree, indent=2) + "\n"
 
 
+# Printable ASCII (which holds the quote and the backslash), and strings
+# that each hold one character that needs escaping.
+_printable = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=5)
+_items = st.one_of(
+    _printable,
+    st.sampled_from(["", '"', "\\", "a\x00", "\x1f", "\x7f", "\u00e9", "\U0001f600"]),
+)
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.lists(_printable, max_size=6),
+    st.lists(_items, max_size=6),
+    st.lists(st.one_of(_items, st.integers(), st.none(), st.lists(_items, max_size=2)),
+             max_size=6),
+))
+def test_dumps_of_lists_of_plain_and_escaped_strings(value):
+    # a list whose strings need no escape is written by one join over the
+    # items; any other list must come out exactly as json writes it
+    assert dumps(value) == json.dumps(value, indent=2) + "\n"
+    assert dumps({"k": value}) == json.dumps({"k": value}, indent=2) + "\n"
+
+
 def test_dumps_of_empty_and_nested_containers():
     tree = {"a": [], "b": {}, "c": [[], {}, [[]]], "d": ("x", ["y", 1])}
     assert dumps(tree) == json.dumps(tree, indent=2) + "\n"

@@ -147,7 +147,7 @@ def test_soundness_violations_match_classifier(fr_model, pr_model):
 def soundness_from_the_translation_alone(models):
     """MUTUAL violations of each model, decided after all of them are
     translated, with translating, reading a support and the classifier's
-    enumeration and image sets all made unreachable."""
+    frontier walk and listing all made unreachable."""
     scenarios = [translate(model) for model in models]
 
     def unreachable(*args, **kwargs):
@@ -158,7 +158,7 @@ def soundness_from_the_translation_alone(models):
             (TRANSLATE, "translate"),
             (TRANSLATE, "support"),
             (epimodal.contextuality, "global_sections"),
-            (epimodal.contextuality, "_non_extendable"),
+            (epimodal.contextuality, "frontier_walk"),
         ):
             patch.setattr(owner, name, unreachable)
         return [soundness_violations(t, WorldBasis.MUTUAL) for t in scenarios]
