@@ -2,19 +2,14 @@
 
 The decision side works possibilistically, on the supports of the model's
 own tables (a rational model has the same supports as its Boolean
-collapse, so no collapse is built).  One walk over the scenario's frontier
-plan (``scenario.frontier_plan``, the path decomposition the
-noncontextual-fraction LP prices on) keeps the transitions that are both
-reachable and completable: strong contextuality is an empty walk, the
-non-extendable sections are the supported rows no kept transition meets,
-and the global sections are listed from the walk without building a
-prefix that no global section extends.  The liar-cycle search reads the
-same supports around a cycle of two-measurement contexts (``cycle_order``
-finds the cycle).  The quantitative side is the noncontextual fraction:
-the largest total weight of a subdistribution on global sections whose
-marginals are dominated by the model, solved exactly by rational simplex
-on the LP's shape (outcome counts, contexts and bounds), without listing
-its global assignments.
+collapse, so no collapse is built), by one walk over the states of
+``scenario.frontier_plan`` (``frontier_walk``).  The liar-cycle search
+reads the same supports around a cycle of two-measurement contexts
+(``cycle_order`` finds the cycle).  The quantitative side is the
+noncontextual fraction: the largest total weight of a subdistribution on
+global sections whose marginals are dominated by the model, solved
+exactly by rational simplex on the LP's shape (outcome counts, contexts
+and bounds), without listing its global assignments.
 
 Hierarchy (from weakest to strongest):
   noncontextual < probabilistic < logical < strong.
@@ -28,6 +23,7 @@ import enum
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import ratlp
 from . import scenario as sc
@@ -72,22 +68,27 @@ class ContextualityReport:
 State = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class FrontierWalk:
-    """The supports of a model walked over its scenario's frontier plan.
+def _shape(
+    scen: sc.MeasurementScenario,
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The outcome counts in declared order and each maximal context as
+    its positions: the arguments of ``frontier_plan`` and ``ProductLP``."""
+    position = {m: i for i, m in enumerate(scen.measurements)}
+    return (
+        tuple([len(scen.outcomes[m]) for m in scen.measurements]),
+        tuple([tuple([position[m] for m in ctx]) for ctx in scen.maximal_contexts]),
+    )
 
-    ``moves[d]`` maps each state of F_(d-1) that is reachable from the
-    empty state and can be completed to its transitions (outcome of
-    position d, state of F_d) that are live (each context completed at d
-    supports the row the transition meets) and lead to a completable
-    state.  A state is the tuple of its positions' outcomes.  ``rows[b]``
-    maps the values of each supported section of ``contexts[b]`` to it, and
-    ``widths[d]`` counts the reachable states of F_(d-1) that the forward
-    pass held.
-    """
+
+class FrontierWalk(NamedTuple):
+    """The result of ``frontier_walk``: ``moves[d]`` maps each kept state
+    of F_(d-1), a tuple of outcomes, to its kept (outcome, state of F_d)
+    transitions; ``rows[b]`` maps the values of each supported section of
+    ``contexts[b]`` to it; ``widths[d]`` counts the states of F_(d-1) that
+    the forward pass held."""
 
     contexts: tuple[Context, ...]
-    plan: tuple[sc.FrontierStep, ...]
+    plan: list[tuple]
     rows: tuple[dict[tuple[str, ...], Section], ...]
     moves: tuple[dict[State, list[tuple[str, State]]], ...]
     widths: tuple[int, ...]
@@ -98,12 +99,11 @@ class FrontierWalk:
         return not self.moves[0]
 
     def extended(self) -> list[set[tuple[str, ...]]]:
-        """Per context, the values of the rows met by a transition with a
-        reachable source and a completable target: the sections that some
-        global section restricts to."""
+        """Per context, the values of the rows some kept transition meets:
+        the sections that some global section restricts to."""
         out: list[set[tuple[str, ...]]] = [set() for _ in self.rows]
-        for step, moves in zip(self.plan, self.moves):
-            for b, at in step.done:
+        for (*_, done), moves in zip(self.plan, self.moves):
+            for b, at in done:
                 meet = sc.picker(at)
                 out[b] = {
                     meet(s + (o,)) for s, outs in moves.items() for o, _ in outs
@@ -122,23 +122,13 @@ class FrontierWalk:
 
 
 def frontier_walk(model: EmpiricalModel) -> FrontierWalk:
-    """Walk the model's supports over its scenario's frontier plan.
-
-    A forward pass from the empty state keeps, at each depth, the live
-    transitions out of the reachable states; it is exact because a
-    context's last position fixes every position of the context.  A
-    backward pass then keeps the transitions into completable states (at
-    depth n the empty state is completable).  The walk never holds more
-    states at a depth than the consistent prefixes there, nor than the
-    assignments of the frontier.
-    """
+    """Walk the model's supports over the states of its scenario's
+    ``frontier_plan``.  A forward pass from the empty state keeps the
+    transitions out of reachable states that every context completed there
+    supports; a backward pass keeps those into completable states."""
     scen = model.scenario
     meas = scen.measurements
-    position = {m: i for i, m in enumerate(meas)}
-    plan = sc.frontier_plan(
-        tuple([len(scen.outcomes[m]) for m in meas]),
-        tuple([tuple([position[m] for m in ctx]) for ctx in scen.maximal_contexts]),
-    )
+    plan = sc.frontier_plan(*_shape(scen))
     rows = tuple([
         {sec.values: sec for sec, v in model.tables[ctx].items() if v}
         for ctx in scen.maximal_contexts
@@ -146,9 +136,9 @@ def frontier_walk(model: EmpiricalModel) -> FrontierWalk:
     layers = []
     widths = []
     states: dict[State, None] = {(): None}
-    for m, step in zip(meas, plan):
-        keep = sc.picker(step.kept)
-        checks = [(sc.picker(at), rows[b]) for b, at in step.done]
+    for m, (_, _, kept, _, done) in zip(meas, plan):
+        keep = sc.picker(kept)
+        checks = [(sc.picker(at), rows[b]) for b, at in done]
         live = {}
         targets: dict[State, None] = {}
         for s in states:
@@ -172,9 +162,9 @@ def frontier_walk(model: EmpiricalModel) -> FrontierWalk:
     for d in range(len(layers) - 1, -1, -1):
         good = {}
         for s, outs in layers[d].items():
-            kept = [move for move in outs if move[1] in states]
-            if kept:
-                good[s] = kept
+            alive = [move for move in outs if move[1] in states]
+            if alive:
+                good[s] = alive
         layers[d] = states = good
     return FrontierWalk(
         scen.maximal_contexts, plan, rows, tuple(layers), tuple(widths)
@@ -185,14 +175,9 @@ def global_sections(
     model: EmpiricalModel, walk: FrontierWalk | None = None
 ) -> list[GlobalSection]:
     """Global sections restricting into every context's support, in
-    lexicographic declared-outcome order.
-
-    Read off the model's frontier walk (``walk``, built here when not
-    given), split at the middle depth h: each prefix of positions < h
-    that the walk's transitions reach, times the memoised suffixes of the
-    state it ends in.  Every transition leads to a completable state, so
-    no prefix or suffix is built that no global section extends.
-    """
+    lexicographic declared-outcome order: the paths of the model's
+    ``frontier_walk`` (built here when not given), as each prefix up to
+    the middle depth times the memoised suffixes of its state."""
     if walk is None:
         walk = frontier_walk(model)
     if walk.strong:
@@ -237,10 +222,8 @@ def _ncf_lp(model: EmpiricalModel) -> ratlp.ProductLP:
     per global assignment in lexicographic order, one row per ``_lp_rows``
     entry, bounded by the model's probability."""
     scen = model.scenario
-    position = {m: i for i, m in enumerate(scen.measurements)}
     return ratlp.ProductLP(
-        tuple([len(scen.outcomes[m]) for m in scen.measurements]),
-        tuple([tuple([position[m] for m in ctx]) for ctx in scen.maximal_contexts]),
+        *_shape(scen),
         tuple([model.tables[ctx][section] for ctx, section in _lp_rows(scen)]),
     )
 

@@ -41,17 +41,14 @@ Each LP type prices its own columns, behind one ``pricing`` method, so
 - ``ProductLP`` finds that column by a dynamic programme over the
   positions in order.  Its reduced cost is L.(sum_b z[row_b(g)] - den),
   so Bland's rule enters the lexicographically first g whose sum is below
-  den.  The frontier F_d holds the positions <= d that lie in a context
-  ending after d; a state is an assignment of F_d.  The frontier plan
-  (``scenario.frontier_plan``, which ``contextuality``'s possibilistic
-  walk also runs on) says which positions each step keeps and which
-  contexts it completes; from it, static tables give, for each state of
-  F_(d-1) and outcome of d, the rows of the contexts completed at d and
-  the next state.  A backward pass computes, for each state, the exact
-  minimum of the sums still to come; a forward pass then takes at each
-  depth the first outcome that keeps a completion below den, and never
-  backtracks.  On an n-cycle that is 8 transitions per depth against up
-  to 2^n columns, and no state space is larger than N.
+  den.  On the frontiers F_d of ``scenario.frontier_plan``, static tables
+  give, for each state of F_(d-1) and outcome of d, the rows of the
+  contexts completed at d and the next state.  A backward pass computes,
+  for each state, the exact minimum of the sums still to come; a forward
+  pass then takes at each depth the first outcome that keeps a completion
+  below den, and never backtracks.  On an n-cycle that is 8 transitions
+  per depth against up to 2^n columns, and no state space is larger than
+  N.
 
 The Edmonds/Bareiss update divides each row exactly by the previous
 pivot.  Rows whose entry in the entering column is 0 would only be

@@ -11,9 +11,8 @@ do not restrict ``Section`` objects one by one: :func:`projection` finds the
 positions of a subcontext inside a context once and returns a function from
 a values tuple to the sub-tuple, which those loops compare against sets of
 plain value tuples.  :func:`restrict` stays the ``Section``-level operation.
-:func:`frontier_plan` lays the measurement positions out as a path of
-frontiers along the contexts; the noncontextual-fraction LP and the
-possibilistic walk of ``contextuality`` both run on it.
+:func:`frontier_plan` is the path decomposition that the
+noncontextual-fraction LP and ``contextuality``'s walk run on.
 
 All identifiers are opaque strings.  Contexts are canonicalized to tuples
 sorted by the declared measurement order, so that every listing produced
@@ -22,12 +21,10 @@ here is byte-stable.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import (
     CoverageError,
@@ -252,36 +249,22 @@ def picker(
     return operator.itemgetter(*positions)
 
 
-class FrontierStep(NamedTuple):
-    """Step d of a frontier plan: a transition takes a state of F_(d-1)
-    and one of the ``k`` outcomes of position d, so it assigns ``here`` =
-    F_(d-1) + (d,) in ascending order.  ``kept`` indexes the positions of
-    F_d in ``here``, ``place`` is the mixed-radix place value over ``here``
-    of a state of F_d (0 at a dropped position), and ``done`` holds
-    (context index, indices of its positions in ``here``) for each context
-    whose last position is d."""
-
-    k: int
-    here: tuple[int, ...]
-    kept: tuple[int, ...]
-    place: tuple[int, ...]
-    done: tuple[tuple[int, tuple[int, ...]], ...]
-
-
-@functools.lru_cache(maxsize=64)
 def frontier_plan(
     radices: tuple[int, ...], contexts: tuple[tuple[int, ...], ...]
-) -> tuple[FrontierStep, ...]:
+) -> list[tuple]:
     """The path decomposition of a product of outcome sets (``radices[p]``
-    outcomes at position p) by contexts given as ascending positions.
+    outcomes at position p) by contexts given as ascending positions: one
+    step (k, here, kept, place, done) per position d.
 
     The frontier F_d holds the positions <= d that lie in a context ending
-    after d, and a state is an assignment of F_d; F_(n-1) is empty.  Every
-    position of a context ending at d is in that step's ``here``, so a
-    pass over the steps meets each context's row at its last position.
-    The plan depends on the shape alone and is cached by it: the
-    noncontextual-fraction LP and the possibilistic walk of one scenario
-    share it.
+    after d; a state is an assignment of F_d, and F_(n-1) is empty.  At
+    step d a transition takes a state of F_(d-1) and one of the ``k``
+    outcomes of position d, so it assigns ``here`` = F_(d-1) + (d,) in
+    ascending order.  ``kept`` indexes the positions of F_d in ``here``,
+    ``place`` is the mixed-radix place value over ``here`` of a state of
+    F_d (0 at a dropped position), and ``done`` holds (context index,
+    indices of its positions in ``here``) for each context whose last
+    position is d: a pass over the steps meets each context's row there.
     """
     # the last position of the contexts that hold p: p is on F_d exactly
     # for p <= d < reach[p]
@@ -304,9 +287,9 @@ def frontier_plan(
             for b, ps in enumerate(contexts)
             if ps[-1] == d
         ])
-        steps.append(FrontierStep(k, here, kept, tuple(place), done))
+        steps.append((k, here, kept, place, done))
         before = tuple([here[i] for i in kept])
-    return tuple(steps)
+    return steps
 
 
 def is_compatible_family(family: Sequence[Section]) -> bool:
