@@ -40,7 +40,7 @@ def show(model, name):
     ctx = obj["contextuality"]
     print(f"  non-disturbing: {obj['no_disturbance']['holds']}")
     print(f"  level: {ctx['level']}")
-    print(f"  global sections: {ctx['global_support']}")
+    print(f"  global sections: {list(ctx['global_support'])}")
     if ctx["non_extendable"]:
         witnesses = [f"{c}@{sec}" for c, sec in ctx["non_extendable"]]
         print(f"  non-extendable sections: {witnesses}")

@@ -39,6 +39,7 @@ from .empirical import (
     uniform_rational_lift,
 )
 from .scenario import (
+    Assignments,
     GlobalSection,
     MeasurementScenario,
     Section,
@@ -62,7 +63,7 @@ __all__ = [
     "EmpiricalModel", "NoDisturbanceReport", "Semiring",
     "check_no_disturbance", "marginal", "new_model", "possibilistic_collapse",
     "support", "uniform_rational_lift",
-    "GlobalSection", "MeasurementScenario", "Section", "all_contexts",
-    "glue", "is_compatible_family", "is_connected", "new_scenario",
-    "restrict", "sections",
+    "Assignments", "GlobalSection", "MeasurementScenario", "Section",
+    "all_contexts", "glue", "is_compatible_family", "is_connected",
+    "new_scenario", "restrict", "sections",
 ]

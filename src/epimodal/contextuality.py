@@ -35,7 +35,7 @@ from .empirical import (
 )
 from .empirical import possibilistic_collapse  # noqa: F401  (bench/tracer.py wraps this name)
 from .errors import NotACycle, SectionNotInSupport, UnknownSection, WrongSemiring
-from .scenario import Context, GlobalSection, Section
+from .scenario import Context, Section
 
 
 class HierarchyLevel(enum.IntEnum):
@@ -56,7 +56,7 @@ class HierarchyLevel(enum.IntEnum):
 @dataclass(frozen=True)
 class ContextualityReport:
     level: HierarchyLevel
-    global_support: tuple[GlobalSection, ...]
+    global_support: sc.Assignments
     non_extendable: tuple[tuple[Context, Section], ...]
     solution: ratlp.LpSolution | None
 
@@ -173,15 +173,16 @@ def frontier_walk(model: EmpiricalModel) -> FrontierWalk:
 
 def global_sections(
     model: EmpiricalModel, walk: FrontierWalk | None = None
-) -> list[GlobalSection]:
+) -> sc.Assignments:
     """Global sections restricting into every context's support, in
     lexicographic declared-outcome order: the paths of the model's
     ``frontier_walk`` (built here when not given), as each prefix up to
     the middle depth times the memoised suffixes of its state."""
     if walk is None:
         walk = frontier_walk(model)
+    meas = model.scenario.measurements
     if walk.strong:
-        return []
+        return sc.Assignments(meas, (), {})
     moves = walk.moves
     middle = len(moves) // 2
     heads: list[tuple[State, State]] = [((), ())]
@@ -194,8 +195,7 @@ def global_sections(
             s: [(o,) + tail for o, t in outs for tail in tails[t]]
             for s, outs in moves[d].items()
         }
-    meas = model.scenario.measurements
-    return [Section(meas, p + tail) for p, s in heads for tail in tails[s]]
+    return sc.Assignments(meas, heads, tails)
 
 
 def extendable(model: EmpiricalModel, context: Iterable[str], section: Section) -> bool:
@@ -292,7 +292,7 @@ def classify(model: EmpiricalModel) -> ContextualityReport:
     """
     require_no_disturbance(model)
     walk = frontier_walk(model)
-    globals_ = tuple(global_sections(model, walk))
+    globals_ = global_sections(model, walk)
     witnesses = tuple(walk.non_extendable())
     solution = None
     if model.semiring is Semiring.RATIONAL:
@@ -369,10 +369,14 @@ def _cycle_contexts(model: EmpiricalModel, order: Sequence[str]) -> list[Context
     agents = tuple(order)
     if len(agents) < 3 or len(set(agents)) != len(agents):
         raise NotACycle(f"{agents} is not a cycle of distinct measurements")
+    position = {m: i for i, m in enumerate(scen.measurements)}
+    maximal = set(scen.maximal_contexts)
     contexts = []
-    for i, agent in enumerate(agents):
-        pair = scen.canonical_context((agent, agents[(i + 1) % len(agents)]))
-        if pair not in scen.maximal_contexts:
+    for a, b in zip(agents, agents[1:] + agents[:1]):
+        if a not in position or b not in position:
+            scen.canonical_context((a, b))  # raises UnknownMeasurement
+        pair = (a, b) if position[a] < position[b] else (b, a)
+        if pair not in maximal:
             raise NotACycle(f"consecutive pair {pair} is not a maximal context")
         contexts.append(pair)
     return contexts

@@ -21,16 +21,16 @@ Field names are part of the on-disk contract:
 ``dumps`` writes exactly the text of ``json.dumps(payload, indent=2)``
 plus a newline, without the standard library's pure-Python indenting
 encoder: strings go through the C ``encode_basestring_ascii``, a list of
-strings is one join over them (over the items as they are when none holds
-a character that needs escaping), any other scalar (int, bool, None,
-float) is ``json.dumps`` of that scalar alone, and the pieces are joined
-once.  Lists and tuples are arrays, dicts are objects in insertion order;
-a dict key that is not a ``str`` raises TypeError.
+strings is one join over them, a ``scenario.AssignmentKeys`` listing (the
+reports' global support and mutual worlds) is an array of its keys written
+with one join per head, any other scalar (int, bool, None, float) is
+``json.dumps`` of that scalar alone, and the pieces are joined once.
+Lists and tuples are arrays, dicts are objects in insertion order; a dict
+key that is not a ``str`` raises TypeError.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from fractions import Fraction
@@ -40,7 +40,7 @@ from .contextuality import ContextualityReport
 from .empirical import EmpiricalModel, NoDisturbanceReport, Semiring, new_model
 from .errors import EpimodalError
 from .modal import MultiAgentScenario, TopoModel
-from .scenario import MeasurementScenario, new_scenario
+from .scenario import AssignmentKeys, Assignments, MeasurementScenario, new_scenario
 
 
 class ParseError(EpimodalError):
@@ -48,7 +48,7 @@ class ParseError(EpimodalError):
 
 
 def _rat(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(value)
 
 
 # The only cell form a file may hold: no floats, exponents, spaces or "_".
@@ -65,9 +65,28 @@ def _context_key(context) -> str:
     return ",".join(context)
 
 
-# The bytes ``encode_basestring_ascii`` writes as they are: printable ASCII
-# without the quote and the backslash.
-_PLAIN = bytes([b for b in range(0x20, 0x7F) if b not in b'"\\'])
+def _keys_text(view: AssignmentKeys, newline: str) -> str:
+    """The text ``json.dumps(list(view), indent=2)`` writes at the depth
+    whose line break and indent are ``newline``, by one join per head.  The
+    escape works character by character, so a key's text is its head's text,
+    a comma and its tail's text: each head and tail is escaped once."""
+    if not view:
+        return "[]"
+
+    def escaped(values) -> str:
+        return _string(",".join(values))[1:-1]
+
+    # the comma between a head and a tail, unless either is empty
+    lead = "," if 0 < len(view.heads[0][0]) < len(view.measurements) else ""
+    texts = {s: [lead + escaped(t) for t in ts] for s, ts in view.tails.items()}
+    inner = newline + "  "
+    sep = '",' + inner + '"'
+    blocks = []
+    for p, s in view.heads:
+        if texts[s]:
+            hp = escaped(p)
+            blocks.append(hp + (sep + hp).join(texts[s]))
+    return "[" + inner + '"' + sep.join(blocks) + '"' + newline + "]"
 
 
 def _encode(value, newline: str, parts: list) -> None:
@@ -82,12 +101,7 @@ def _encode(value, newline: str, parts: list) -> None:
         inner = newline + "  "
         parts.append("[" + inner)
         try:
-            text = "".join(value)
-            if text.isascii() and not text.encode("ascii").translate(None, _PLAIN):
-                # no character to escape: the items go out as they are
-                parts.append('"' + ('",' + inner + '"').join(value) + '"')
-            else:
-                parts.append(("," + inner).join(map(_string, value)))
+            parts.append(("," + inner).join(map(_string, value)))
         except TypeError:  # not a list of strings only
             for i, item in enumerate(value):
                 if i:
@@ -107,6 +121,8 @@ def _encode(value, newline: str, parts: list) -> None:
             opening = "," + inner
             _encode(item, inner, parts)
         parts.append(newline + "}")
+    elif isinstance(value, AssignmentKeys):  # an ABC: tested after the builtins
+        parts.append(_keys_text(value, newline))
     else:
         parts.append(json.dumps(value))
 
@@ -272,7 +288,7 @@ def contextuality_to_obj(
 ) -> dict:
     obj = {
         "level": report.level.label(),
-        "global_support": [g.key() for g in report.global_support],
+        "global_support": report.global_support.keys(),
         "non_extendable": [_witness_obj(w) for w in report.non_extendable],
         "ncf": (
             _rat(report.noncontextual_fraction)
@@ -295,28 +311,15 @@ def contextuality_to_obj(
     return obj
 
 
-def _world_keys(outcomes) -> list[str]:
-    """Comma-joined keys of the product of ``outcomes``, lexicographically:
-    the keys of the first half of the agents, each followed by every key of
-    the second half, so most keys are built by one concatenation."""
-    half = len(outcomes) // 2
-    if half == 0:
-        return list(map(",".join, itertools.product(*outcomes)))
-    heads = map(",".join, itertools.product(*outcomes[:half]))
-    tails = ["," + k for k in map(",".join, itertools.product(*outcomes[half:]))]
-    keys = []
-    for head in heads:
-        keys.extend(map(head.__add__, tails))
-    return keys
-
-
 def translation_to_obj(scenario: MultiAgentScenario) -> dict:
     return {
         "agents": list(scenario.agents),
         "trust_pairs": sorted(
             [sorted(a), sorted(b)] for a, b in scenario.trust_pairs
         ),
-        "mutual_worlds": _world_keys(scenario.outcomes),
+        "mutual_worlds": Assignments.product(
+            scenario.agents, scenario.outcomes
+        ).keys(),
         "distributed_worlds": [
             [_context_key(ctx), section.key()]
             for ctx, section in scenario.distributed_worlds

@@ -6,8 +6,9 @@ trust one another; global sections become the worlds induced by mutual
 knowledge; supported (context, section) pairs become the worlds induced by
 distributed knowledge.  The mutual worlds are every global outcome
 assignment, so they follow from the agents and their outcomes alone: a
-translated scenario stores the outcomes and derives its mutual worlds on
-demand, and translating enumerates no global assignment.
+translated scenario stores the outcomes, its mutual worlds are a lazy
+``scenario.Assignments`` listing derived from them on demand, and
+translating enumerates no global assignment.
 
 With mutual-knowledge worlds, a supported local event can fail to be
 entailed by any world consistent with the model: those events are exactly
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from .. import scenario as sc
 from ..empirical import EmpiricalModel, require_no_disturbance, support
 from ..errors import Disconnected
-from ..scenario import Context, GlobalSection, Section
+from ..scenario import Context, Section
 
 
 @dataclass(frozen=True)
@@ -53,16 +54,13 @@ class MultiAgentScenario:
     distributed_worlds: tuple[tuple[Context, Section], ...]
 
     @property
-    def mutual_worlds(self) -> tuple[GlobalSection, ...]:
-        """Every global outcome assignment, lexicographically.
-
-        Built as ``Section``s on each access; soundness and the JSON keys
-        work from ``outcomes`` instead and never list them.
+    def mutual_worlds(self) -> sc.Assignments:
+        """Every global outcome assignment, lexicographically: a lazy
+        ``Assignments.product`` that builds a ``Section`` only for a world
+        that is read.  Soundness and the JSON keys work from ``outcomes``
+        and never read this listing.
         """
-        return tuple(
-            Section(self.agents, values)
-            for values in itertools.product(*self.outcomes)
-        )
+        return sc.Assignments.product(self.agents, self.outcomes)
 
 
 class WorldBasis(enum.Enum):

@@ -13,6 +13,8 @@ a values tuple to the sub-tuple, which those loops compare against sets of
 plain value tuples.  :func:`restrict` stays the ``Section``-level operation.
 :func:`frontier_plan` is the path decomposition that the
 noncontextual-fraction LP and ``contextuality``'s walk run on.
+:class:`Assignments` lists 2^n global assignments as about 2^(n/2) heads
+and shared tails, and builds a ``Section`` or key only when one is read.
 
 All identifiers are opaque strings.  Contexts are canonicalized to tuples
 sorted by the declared measurement order, so that every listing produced
@@ -71,6 +73,61 @@ class Section:
 
 
 GlobalSection = Section
+
+
+class _Listing(Sequence):
+    """Value tuples over ``measurements`` in lexicographic order, as
+    ``heads`` (prefix, state) and ``tails`` (state -> its suffixes, in
+    order): each prefix + tail, head by head, all prefixes of one length.
+    Read-only: an item is built when it is read, and the listing equals a
+    list, tuple or listing of the same items."""
+
+    def __init__(self, measurements: Context, heads, tails) -> None:
+        self.measurements, self.heads, self.tails = measurements, tuple(heads), tails
+
+    def __len__(self) -> int:
+        return sum([len(self.tails[s]) for _, s in self.heads])
+
+    def __iter__(self):
+        item, tails = self._item, self.tails
+        for p, s in self.heads:
+            for t in tails[s]:
+                yield item(p + t)
+
+    def __getitem__(self, index: int):  # an int, negative from the end
+        return next(itertools.islice(self, range(len(self))[index], None))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, tuple, _Listing)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:  # that of the tuple of its items
+        return hash(tuple(self))
+
+
+class Assignments(_Listing):
+    """Global assignments as ``Section``s; ``keys()`` lists their
+    ``Section.key()`` strings without building a ``Section``."""
+
+    def _item(self, values: tuple[str, ...]) -> Section:
+        return Section(self.measurements, values)
+
+    @classmethod
+    def product(cls, names: Context, outcomes) -> Assignments:
+        """Every assignment of ``outcomes[i]`` to ``names[i]``."""
+        middle = len(outcomes) // 2
+        heads = [(p, ()) for p in itertools.product(*outcomes[:middle])]
+        return cls(names, heads, {(): list(itertools.product(*outcomes[middle:]))})
+
+    def keys(self) -> AssignmentKeys:
+        return AssignmentKeys(self.measurements, self.heads, self.tails)
+
+
+class AssignmentKeys(_Listing):
+    """The comma-joined keys of an ``Assignments`` listing, in its order."""
+
+    _item = staticmethod(",".join)
 
 
 @dataclass(frozen=True)
@@ -206,10 +263,7 @@ def sections(scenario: MeasurementScenario, context: Iterable[str]) -> list[Sect
 def global_section_space(scenario: MeasurementScenario) -> list[GlobalSection]:
     """Every assignment of outcomes to all measurements, lexicographically."""
     pools = [scenario.outcomes[m] for m in scenario.measurements]
-    return [
-        Section(scenario.measurements, combo)
-        for combo in itertools.product(*pools)
-    ]
+    return list(Assignments.product(scenario.measurements, pools))
 
 
 def restrict(section: Section, subcontext: Iterable[str]) -> Section:

@@ -395,7 +395,9 @@ def test_analyze_writes_without_the_standard_indenting_encoder(
     hardy.write_text(model_to_json(hardy_cycle(12)))
     expected = {
         GOLDEN / "fr_model.json": (GOLDEN / "fr_report.json").read_text(),
-        hardy: json.dumps(analysis_report(hardy_cycle(12)), indent=2) + "\n",
+        hardy: json.dumps(
+            analysis_report(hardy_cycle(12)), indent=2, default=list
+        ) + "\n",
     }
 
     def unreachable(*args, **kwargs):

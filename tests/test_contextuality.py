@@ -39,6 +39,7 @@ from epimodal.errors import (
     DisturbingModel,
     NotACycle,
     SectionNotInSupport,
+    UnknownMeasurement,
     UnknownSection,
     WrongSemiring,
 )
@@ -266,6 +267,34 @@ def test_walk_holds_two_states_on_sixteen_equal_measurements():
     ]
     assert walk.non_extendable() == []
     assert_walk_matches_the_oracles(model, level_wise_globals(model))
+
+
+def test_classify_lists_a_full_sixteen_cycle_without_building_its_sections(
+    monkeypatch,
+):
+    # every cell of every context of a 16-cycle is supported: 2^16 global
+    # sections, listed without a Section each
+    meas = [f"M{i}" for i in range(16)]
+    pairs = [(meas[i], meas[(i + 1) % 16]) for i in range(16)]
+    scen = new_scenario(meas, pairs, {m: ["0", "1"] for m in meas})
+    model = new_model(scen, Semiring.BOOLEAN, {
+        ctx: {v: 1 for v in ("0,0", "0,1", "1,0", "1,1")}
+        for ctx in scen.maximal_contexts
+    })
+    built = []
+    check = Section.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Section, "__post_init__", counted)
+    report = classify(model)
+    cells = sum(len(table) for table in model.tables.values())
+    assert len(report.global_support) == 65536
+    assert len(built) <= cells + 8
+    assert report.global_support[1].values == ("0",) * 15 + ("1",)
+    assert report.global_support.keys()[-1] == ",".join("1" * 16)
 
 
 def test_extendable(fr_model):
@@ -675,6 +704,13 @@ def test_liar_cycle_not_a_cycle(fr_model):
         liar_cycle_witness(fr_model, ["A", "U", "B", "W"])  # A,U not a context
     with pytest.raises(NotACycle):
         liar_cycle_witness(fr_model, ["A", "B"])
+    # the pairs are checked in cycle order, each pair's measurements first
+    with pytest.raises(NotACycle, match=r"^consecutive pair \('B', 'W'\) is"):
+        liar_cycle_witness(fr_model, ["A", "B", "W", "U"])
+    with pytest.raises(NotACycle, match=r"^consecutive pair \('A', 'U'\) is"):
+        liar_cycle_witness(fr_model, ["A", "U", "Z", "W"])
+    with pytest.raises(UnknownMeasurement, match="^Z$"):
+        liar_cycle_witness(fr_model, ["A", "B", "Z", "W"])
 
 
 def test_liar_cycle_unknown_start_outcome(fr_model):

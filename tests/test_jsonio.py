@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epimodal import Semiring, build_pr_model, build_wigner_model
+from epimodal import Semiring, build_pr_model, build_wigner_model, classify
 from epimodal.jsonio import (
     ParseError,
+    contextuality_to_obj,
     dumps,
     model_from_json,
     model_to_json,
@@ -19,6 +20,7 @@ from epimodal.jsonio import (
     translation_to_obj,
 )
 from epimodal.modal import MultiAgentScenario, TopoModel
+from epimodal.scenario import AssignmentKeys, Assignments
 
 F = Fraction
 
@@ -235,3 +237,88 @@ def test_mutual_world_keys_follow_the_product_order(outcomes):
     keys = translation_to_obj(scenario)["mutual_worlds"]
     assert keys == [",".join(v) for v in itertools.product(*outcomes)]
     assert keys == [g.key() for g in scenario.mutual_worlds]
+
+
+# every character class the JSON escape treats apart: quote, backslash,
+# control characters, DEL, non-ASCII, a lone surrogate and non-BMP; the
+# comma (the key separator) and the empty label too
+LABELS = st.text(
+    st.sampled_from([
+        "0", "a", ",", '"', "\\", "\x00", "\n", "\x1f", "\x7f", "\xe9",
+        "\u2028", "\ud800", "\U0001f600",
+    ]),
+    max_size=3,
+)
+
+
+def split(names, outcomes, middle):
+    """The product of ``outcomes`` as heads of length ``middle``, each
+    labelled by its own prefix, with that prefix's tails."""
+    heads = [(p, p) for p in itertools.product(*outcomes[:middle])]
+    rest = list(itertools.product(*outcomes[middle:]))
+    return Assignments(names, heads, {p: rest for p, _ in heads})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_assignment_listings_are_their_product(data):
+    outcomes = tuple(
+        tuple(data.draw(st.lists(LABELS, min_size=1, max_size=3)))
+        for _ in range(data.draw(st.integers(1, 6)))
+    )
+    names = tuple(f"M{i}" for i in range(len(outcomes)))
+    middle = data.draw(st.integers(0, len(outcomes)))
+    expected = list(itertools.product(*outcomes))
+    keys = [",".join(v) for v in expected]
+    product = Assignments.product(names, outcomes)
+    for listing in (product, split(names, outcomes, middle)):
+        view = listing.keys()
+        assert isinstance(view, AssignmentKeys)
+        assert len(listing) == len(view) == len(expected)
+        assert [g.values for g in listing] == expected
+        assert all(g.context == names for g in listing)
+        assert listing == tuple(listing) and listing == list(listing)
+        assert view == keys and view == tuple(keys) and keys == view
+        assert hash(view) == hash(tuple(keys))
+        assert hash(listing) == hash(tuple(listing))
+        assert view[-1] == keys[-1] and listing[0].values == expected[0]
+        assert dumps(view) == json.dumps(keys, indent=2) + "\n"
+        nested = {"a": [view, {"b": view}]}
+        assert dumps(nested) == json.dumps(
+            {"a": [keys, {"b": keys}]}, indent=2
+        ) + "\n"
+
+
+def test_listing_splits_at_either_end_and_empty_listings():
+    outcomes = (("0", "1"), ("x",), ("a", "b", "c"))
+    names = ("A", "B", "C")
+    keys = [",".join(v) for v in itertools.product(*outcomes)]
+    for middle in (0, 3):  # one head with every tail, or every head alone
+        listing = split(names, outcomes, middle)
+        assert listing.keys() == keys
+        assert dumps(listing.keys()) == json.dumps(keys, indent=2) + "\n"
+    # no heads, or heads whose tails are all empty, list nothing
+    for listing in (
+        Assignments(names, (), {}),
+        Assignments(names, [(("0",), "s")], {"s": []}),
+    ):
+        assert len(listing) == 0 and list(listing) == [] and listing == ()
+        # only lists, tuples and listings compare by items, as hash assumes
+        assert listing != "" and listing.keys() != range(0)
+        assert dumps(listing.keys()) == "[]\n"
+        assert dumps({"k": listing.keys()}) == '{\n  "k": []\n}\n'
+    with pytest.raises(IndexError):
+        Assignments(names, (), {})[0]
+    # a head without tails lists nothing, beside one that has them
+    mixed = Assignments(("A", "B"), [(("0",), "s"), (("1",), "t")], {
+        "s": [], "t": [("x",), ("y",)]
+    }).keys()
+    assert mixed == ["1,x", "1,y"] and mixed[1] == "1,y"
+    assert dumps(mixed) == json.dumps(["1,x", "1,y"], indent=2) + "\n"
+
+
+def test_a_strong_model_lists_no_global_support():
+    report = classify(build_pr_model())
+    assert report.global_support == [] and not report.global_support.keys()
+    assert contextuality_to_obj(report)["global_support"] == []
+    assert '"global_support": [],' in dumps(contextuality_to_obj(report))
