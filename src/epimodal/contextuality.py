@@ -8,8 +8,10 @@ reads the same supports around a cycle of two-measurement contexts
 (``cycle_order`` finds the cycle).  The quantitative side is the
 noncontextual fraction: the largest total weight of a subdistribution on
 global sections whose marginals are dominated by the model, solved
-exactly by rational simplex on the LP's shape (outcome counts, contexts
-and bounds), without listing its global assignments.
+exactly by ``ratlp``'s rational simplex.  That LP is ``ProductLP``, given
+by its shape (outcome counts, contexts and bounds) and priced by a
+dynamic programme over the same frontier plan as the walk, so no global
+assignment is listed.
 
 Hierarchy (from weakest to strongest):
   noncontextual < probabilistic < logical < strong.
@@ -20,10 +22,14 @@ and logically contextual when some supported local section never extends.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
+import math
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 from . import ratlp
 from . import scenario as sc
@@ -34,7 +40,9 @@ from .empirical import (
     support,
 )
 from .empirical import possibilistic_collapse  # noqa: F401  (bench/tracer.py wraps this name)
-from .errors import NotACycle, SectionNotInSupport, UnknownSection, WrongSemiring
+from .errors import (
+    Malformed, NotACycle, SectionNotInSupport, UnknownSection, WrongSemiring,
+)
 from .scenario import Context, Section
 
 
@@ -84,13 +92,15 @@ class FrontierWalk(NamedTuple):
     """The result of ``frontier_walk``: ``moves[d]`` maps each kept state
     of F_(d-1), a tuple of outcomes, to its kept (outcome, state of F_d)
     transitions; ``rows[b]`` maps the values of each supported section of
-    ``contexts[b]`` to it; ``widths[d]`` counts the states of F_(d-1) that
-    the forward pass held."""
+    ``contexts[b]`` to it, and ``met[b]`` holds the values of those that
+    some kept transition meets, the sections some global section
+    restricts to; ``widths[d]`` counts the states of F_(d-1) that the
+    forward pass held."""
 
     contexts: tuple[Context, ...]
-    plan: list[tuple]
     rows: tuple[dict[tuple[str, ...], Section], ...]
     moves: tuple[dict[State, list[tuple[str, State]]], ...]
+    met: tuple[set[tuple[str, ...]], ...]
     widths: tuple[int, ...]
 
     @property
@@ -98,26 +108,14 @@ class FrontierWalk(NamedTuple):
         """True iff the empty state cannot be completed: no global section."""
         return not self.moves[0]
 
-    def extended(self) -> list[set[tuple[str, ...]]]:
-        """Per context, the values of the rows some kept transition meets:
-        the sections that some global section restricts to."""
-        out: list[set[tuple[str, ...]]] = [set() for _ in self.rows]
-        for (*_, done), moves in zip(self.plan, self.moves):
-            for b, at in done:
-                meet = sc.picker(at)
-                out[b] = {
-                    meet(s + (o,)) for s, outs in moves.items() for o, _ in outs
-                }
-        return out
-
     def non_extendable(self) -> list[tuple[Context, Section]]:
         """The supported sections no global section restricts to, by
         context, then by values."""
         return [
             (ctx, rows[values])
-            for ctx, rows, seen in zip(self.contexts, self.rows, self.extended())
+            for ctx, rows, met in zip(self.contexts, self.rows, self.met)
             for values in sorted(rows)
-            if values not in seen
+            if values not in met
         ]
 
 
@@ -125,27 +123,29 @@ def frontier_walk(model: EmpiricalModel) -> FrontierWalk:
     """Walk the model's supports over the states of its scenario's
     ``frontier_plan``.  A forward pass from the empty state keeps the
     transitions out of reachable states that every context completed there
-    supports; a backward pass keeps those into completable states."""
+    supports; a backward pass keeps those into completable states and
+    records the rows they meet."""
     scen = model.scenario
     meas = scen.measurements
-    plan = sc.frontier_plan(*_shape(scen))
     rows = tuple([
         {sec.values: sec for sec, v in model.tables[ctx].items() if v}
         for ctx in scen.maximal_contexts
     ])
+    met = tuple([set() for _ in rows])
     layers = []
+    completed = []
     widths = []
     states: dict[State, None] = {(): None}
-    for m, (_, _, kept, _, done) in zip(meas, plan):
+    for m, (_, _, kept, _, done) in zip(meas, sc.frontier_plan(*_shape(scen))):
         keep = sc.picker(kept)
-        checks = [(sc.picker(at), rows[b]) for b, at in done]
+        checks = [(sc.picker(at), rows[b], met[b]) for b, at in done]
         live = {}
         targets: dict[State, None] = {}
         for s in states:
             outs = []
             for o in scen.outcomes[m]:
                 here = s + (o,)
-                for meet, supported in checks:
+                for meet, supported, _ in checks:
                     if meet(here) not in supported:
                         break
                 else:
@@ -155,6 +155,7 @@ def frontier_walk(model: EmpiricalModel) -> FrontierWalk:
             if outs:
                 live[s] = outs
         layers.append(live)
+        completed.append(checks)
         widths.append(len(states))
         states = targets
     # F_(n-1) is empty: ``states`` is {(): None} or, if nothing got
@@ -165,10 +166,10 @@ def frontier_walk(model: EmpiricalModel) -> FrontierWalk:
             alive = [move for move in outs if move[1] in states]
             if alive:
                 good[s] = alive
+                for meet, _, seen in completed[d]:
+                    seen.update([meet(s + (o,)) for o, _ in alive])
         layers[d] = states = good
-    return FrontierWalk(
-        scen.maximal_contexts, plan, rows, tuple(layers), tuple(widths)
-    )
+    return FrontierWalk(scen.maximal_contexts, rows, tuple(layers), met, tuple(widths))
 
 
 def global_sections(
@@ -204,7 +205,7 @@ def extendable(model: EmpiricalModel, context: Iterable[str], section: Section) 
     if section not in support(model, ctx):
         raise SectionNotInSupport(section)
     b = model.scenario.maximal_contexts.index(ctx)
-    return section.values in frontier_walk(model).extended()[b]
+    return section.values in frontier_walk(model).met[b]
 
 
 def noncontextual_fraction(model: EmpiricalModel) -> Fraction:
@@ -217,12 +218,199 @@ def _lp_rows(scen: sc.MeasurementScenario) -> list[tuple[Context, Section]]:
     return [(c, sec) for c in scen.maximal_contexts for sec in sc.sections(scen, c)]
 
 
-def _ncf_lp(model: EmpiricalModel) -> ratlp.ProductLP:
+@dataclass(frozen=True)
+class ProductLP:
+    """The noncontextual-fraction LP, stored by its shape alone: maximize
+    sum(x) subject to A.x <= bounds, x >= 0, for the 0/1 matrix A of a
+    product of outcome sets and a cover of contexts.  ``ratlp.solve``
+    reads it through ``ratlp``'s column/pricing protocol.
+
+    Column j is the j-th assignment g of ``itertools.product(*map(range,
+    radices))`` (position 0 most significant), with c_j = 1 and den = 1.
+    ``contexts[b]`` holds the ascending positions of context b; it owns one
+    row per assignment of those positions, in the same product order, after
+    the rows of the contexts before it (the order of ``_lp_rows``), and A
+    has a 1 in the row of g's values there.  None of the N = k_1...k_n
+    columns is stored; ``column(j)`` computes one, and ``columns`` and
+    ``rows`` expand all of them for test oracles.
+
+    Pricing is a dynamic programme over the positions in order.  The
+    reduced cost of g is L.(sum_b z[row_b(g)] - den), so Bland's rule
+    enters the lexicographically first g whose sum is below den.  On the
+    frontiers F_d of ``scenario.frontier_plan``, static tables give, for
+    each state of F_(d-1) and outcome of d, the rows of the contexts
+    completed at d and the next state.  A backward pass computes, for each
+    state, the exact minimum of the sums still to come; a forward pass
+    then takes at each depth the first outcome that keeps a completion
+    below den, and never backtracks.  On an n-cycle that is 8 transitions
+    per depth against up to 2^n columns, and no state space is larger than
+    N.  The dual check runs the same backward pass on the integer duals,
+    min_g sum_b y[row_b(g)] >= 1, which is exact and does not depend on
+    the pivots.
+    """
+
+    radices: tuple[int, ...]
+    contexts: tuple[tuple[int, ...], ...]
+    bounds: tuple[Fraction, ...]
+    den: ClassVar[int] = 1
+
+    def __post_init__(self):
+        n = len(self.radices)
+        if any(k < 1 for k in self.radices):
+            raise Malformed("every position needs an outcome")
+        if any(
+            not positions
+            or list(positions) != sorted(set(positions))
+            or positions[0] < 0
+            or positions[-1] >= n
+            for positions in self.contexts
+        ):
+            raise Malformed("a context is not ascending positions")
+        rows = sum(
+            math.prod([self.radices[p] for p in ps]) for ps in self.contexts
+        )
+        if len(self.bounds) != rows:
+            raise Malformed("row/bound count mismatch")
+        if any(b < 0 for b in self.bounds):
+            raise Malformed("negative bound: origin would be infeasible")
+
+    @functools.cached_property
+    def _weights(self) -> list[tuple[int, tuple[int, ...]]]:
+        """(offset, weights) per context: an assignment g meets its row
+        offset + sum_p g[p].weights[p], the weights being the context's
+        mixed-radix place values at its positions and 0 elsewhere."""
+        out = []
+        offset = 0
+        for positions in self.contexts:
+            weights = [0] * len(self.radices)
+            size = 1
+            for p in reversed(positions):
+                weights[p] = size
+                size *= self.radices[p]
+            out.append((offset, tuple(weights)))
+            offset += size
+        return out
+
+    def _meets(self, g: Sequence[int]) -> tuple[int, ...]:
+        """The row of each context that the assignment g meets."""
+        return tuple([
+            offset + sum(map(operator.mul, g, weights))
+            for offset, weights in self._weights
+        ])
+
+    @functools.cached_property
+    def objective(self) -> tuple[Fraction, ...]:
+        return (Fraction(1),) * math.prod(self.radices)
+
+    @property
+    def scale(self) -> int:
+        return math.lcm(*{b.denominator for b in self.bounds})
+
+    def column(self, j: int) -> ratlp.Column:
+        g = []
+        for k in reversed(self.radices):
+            j, o = divmod(j, k)
+            g.append(o)
+        return ((1, self._meets(g[::-1])),)
+
+    @property
+    def columns(self) -> tuple[ratlp.Column, ...]:
+        """Every column, in one pass over the product: for test oracles."""
+        return tuple([
+            ((1, self._meets(g)),)
+            for g in itertools.product(*map(range, self.radices))
+        ])
+
+    @property
+    def rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """The row-wise view of ``columns``, as ``LinearProgram.rows``."""
+        return ratlp.LinearProgram(self.objective, self.bounds, self.columns, 1).rows
+
+    @functools.cached_property
+    def _steps(self) -> list[tuple[int, list[list[int]], list[int], tuple]]:
+        """(k_d, rows, next, picks) per step d of the frontier plan.
+        Transition t = s.k_d + o takes state s of F_(d-1) and outcome o of
+        position d; rows[c][t] is the row it meets in the c-th context
+        completed at d, next[t] its state of F_d, and picks[o] slices out
+        the transitions of outcome o.  A state is the mixed-radix index of
+        an assignment of its frontier's positions, in ascending order."""
+        steps = []
+        for k, here, _, place, done in sc.frontier_plan(self.radices, self.contexts):
+            moves = list(itertools.product(*[range(self.radices[p]) for p in here]))
+            rows = []
+            for b, _ in done:
+                offset, weights = self._weights[b]
+                weights = [weights[p] for p in here]
+                rows.append([offset + sum(map(operator.mul, g, weights)) for g in moves])
+            nxt = [sum(map(operator.mul, g, place)) for g in moves]
+            picks = tuple([slice(o, None, k) for o in range(k)])
+            steps.append((k, rows, nxt, picks))
+        return steps
+
+    def _suffix_minima(self, values: Sequence[int]) -> list[list[int]]:
+        """minima[d][s]: the least sum of ``values`` over the rows of the
+        contexts completed at depth d or later, over the assignments of
+        positions d.. that extend state s of F_(d-1); minima[n] is [0]."""
+        steps = self._steps
+        minima = [[0]] * (len(steps) + 1)
+        tail = minima[-1]
+        get = values.__getitem__
+        for d in range(len(steps) - 1, -1, -1):
+            k, rows, nxt, picks = steps[d]
+            total = list(map(tail.__getitem__, nxt))
+            for r in rows:
+                total = list(map(operator.add, total, map(get, r)))
+            if k > 1:
+                total = list(map(min, *map(total.__getitem__, picks)))
+            minima[d] = tail = total
+        return minima
+
+    def pricing(self) -> ratlp.Pricing:
+        """Bland's entering column by the frontier DP: the first g in
+        product order whose sum of z over its rows is below den."""
+        scale = self.scale
+        steps = self._steps
+
+        def price(z, den):
+            minima = self._suffix_minima(z)
+            if minima[0][0] >= den:
+                return None
+            j = state = total = 0
+            met = []
+            for d, (k, rows, nxt, _) in enumerate(steps):
+                tail = minima[d + 1]
+                base = state * k
+                # the first outcome that some completion keeps below den;
+                # one exists, since total + minima[d][state] < den
+                for o in range(k):
+                    t = base + o
+                    here = total
+                    for r in rows:
+                        here += z[r[t]]
+                    if here + tail[nxt[t]] < den:
+                        break
+                j = j * k + o
+                total = here
+                state = nxt[t]
+                for r in rows:
+                    met.append(r[t])
+            return j, ((scale, tuple(sorted(met))),), scale * (total - den)
+
+        return price
+
+    def dual_feasible(self, ys: Sequence[int], dy: int) -> bool:
+        """y.A >= 1 in every column, for y = ys/dy with dy > 0: the least
+        sum of ys over a column's rows, by the backward pass."""
+        return self._suffix_minima(ys)[0][0] >= dy
+
+
+
+def _ncf_lp(model: EmpiricalModel) -> ProductLP:
     """The noncontextual-fraction LP of a model, by its shape: one column
     per global assignment in lexicographic order, one row per ``_lp_rows``
     entry, bounded by the model's probability."""
     scen = model.scenario
-    return ratlp.ProductLP(
+    return ProductLP(
         *_shape(scen),
         tuple([model.tables[ctx][section] for ctx, section in _lp_rows(scen)]),
     )
@@ -413,7 +601,7 @@ def liar_cycle_witness(
         for ctx, here, there in zip(contexts, agents, agents[1:]):
             table = model.tables[ctx]
             cells = [
-                scen.section({here: current, there: o})
+                Section(ctx, (current, o) if here == ctx[0] else (o, current))
                 for o in scen.outcomes[there]
             ]
             supported = [cell for cell in cells if table[cell] != 0]

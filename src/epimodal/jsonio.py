@@ -47,10 +47,6 @@ class ParseError(EpimodalError):
     pass
 
 
-def _rat(value: Fraction) -> str:
-    return str(value)
-
-
 # The only cell form a file may hold: no floats, exponents, spaces or "_".
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
@@ -174,7 +170,7 @@ def model_to_obj(model: EmpiricalModel) -> dict:
     for ctx in model.scenario.maximal_contexts:
         cells = model.tables[ctx]
         tables[_context_key(ctx)] = {
-            sec.key(): _rat(cells[sec])
+            sec.key(): str(cells[sec])
             for sec in sorted(cells, key=lambda s: s.values)
         }
     return {
@@ -275,8 +271,8 @@ def no_disturbance_to_obj(report: NoDisturbanceReport) -> dict:
                 "context_b": _context_key(c.context_b),
                 "intersection": _context_key(c.intersection),
                 "equal": c.equal,
-                "marginal_a": {s.key(): _rat(v) for s, v in c.marginal_a},
-                "marginal_b": {s.key(): _rat(v) for s, v in c.marginal_b},
+                "marginal_a": {s.key(): str(v) for s, v in c.marginal_a},
+                "marginal_b": {s.key(): str(v) for s, v in c.marginal_b},
             }
             for c in report.checks
         ],
@@ -291,7 +287,7 @@ def contextuality_to_obj(
         "global_support": report.global_support.keys(),
         "non_extendable": [_witness_obj(w) for w in report.non_extendable],
         "ncf": (
-            _rat(report.noncontextual_fraction)
+            str(report.noncontextual_fraction)
             if report.noncontextual_fraction is not None
             else None
         ),
@@ -300,7 +296,7 @@ def contextuality_to_obj(
     if decomposition is not None:
         ncf, nc_part, residual = decomposition
         obj["decomposition"] = {
-            "noncontextual_weight": _rat(ncf),
+            "noncontextual_weight": str(ncf),
             "noncontextual": (
                 model_to_obj(nc_part)["tables"] if nc_part is not None else None
             ),

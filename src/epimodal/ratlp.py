@@ -5,50 +5,34 @@ so the origin is always feasible and no phase-1 is needed.  The pivot rule
 is Bland's (smallest index), which cannot cycle.
 
 A is (1/d) times an integer matrix, d > 0 being one denominator for the
-whole of A, and an LP hands the solver column j of the integer matrix as
-its nonzero entries grouped by value, ((a, rows), ...) with ``rows`` the
-ascending indices of the rows where the entry is a.  Two LP types exist:
+whole of A.  ``solve`` reads an LP through one protocol, so an LP may
+store its columns or compute them:
 
-- ``LinearProgram`` stores every column.  ``LinearProgram.build`` takes
-  the LP row by row and transposes it once; ``rows`` derives the row-wise
-  view back.
-- ``ProductLP`` is the noncontextual-fraction LP, stored by its shape
-  alone: the outcome counts k_1..k_n, each maximal context as its
-  positions, and the bounds.  Column j is the j-th global assignment g in
-  ``itertools.product`` order, with c_j = 1 and d = 1, and it has a single
-  1 in each context b, in row offset_b plus the mixed-radix index of g on
-  b's positions.  None of its N = k_1...k_n columns is stored; ``column(j)``
-  computes one, and ``columns`` and ``rows`` expand all of them for test
-  oracles.
+- ``objective`` (c), ``bounds`` (u) and ``den`` (d), and ``scale``, the
+  lcm L of d and of the denominators of c and u;
+- ``column(j)``: column j of the integer matrix as its nonzero entries
+  grouped by value, ((a, rows), ...) with ``rows`` the ascending indices
+  of the rows where the entry is a;
+- ``pricing()``: a ``Pricing`` function that finds Bland's entering
+  structural column, the first with a negative reduced cost;
+- ``dual_feasible(ys, dy)``: whether y.A >= c holds in every column, for
+  y = ys/dy.
+
+``LinearProgram`` is that LP with every column stored.
+``LinearProgram.build`` takes the LP row by row and transposes it once;
+``rows`` derives the row-wise view back, and ``pricing`` scans the
+columns from column 0.
 
 The simplex is revised and fraction-free (Edmonds 1967 and Bareiss 1968,
 the integer pivoting lrs uses).  Multiplying every row and the objective
-by the lcm L of d and the denominators of c and u gives the integer
-tableau [L.A | I | L.u]; it is the LP with each slack variable multiplied
-by L, so every ratio of one ratio test scales by the same positive factor
-and every reduced cost keeps its sign.  That tableau is never formed.
-Between pivots the solver keeps only its slack block S = den.B^-1 (m x m),
-its right-hand side and the slack part z of its cost row, den being the
-last pivot (1 before the first); all are integers.  Column j of the
-tableau is S.(L.a_j) and its reduced cost is z.(L.a_j) - den.L.c_j, and a
-slack's reduced cost is its entry of z.
-
-Each LP type prices its own columns, behind one ``pricing`` method, so
-``solve`` has one loop for both:
-
-- ``LinearProgram`` scans its columns from column 0 and enters the first
-  with a negative reduced cost.
-- ``ProductLP`` finds that column by a dynamic programme over the
-  positions in order.  Its reduced cost is L.(sum_b z[row_b(g)] - den),
-  so Bland's rule enters the lexicographically first g whose sum is below
-  den.  On the frontiers F_d of ``scenario.frontier_plan``, static tables
-  give, for each state of F_(d-1) and outcome of d, the rows of the
-  contexts completed at d and the next state.  A backward pass computes,
-  for each state, the exact minimum of the sums still to come; a forward
-  pass then takes at each depth the first outcome that keeps a completion
-  below den, and never backtracks.  On an n-cycle that is 8 transitions
-  per depth against up to 2^n columns, and no state space is larger than
-  N.
+by L gives the integer tableau [L.A | I | L.u]; it is the LP with each
+slack variable multiplied by L, so every ratio of one ratio test scales
+by the same positive factor and every reduced cost keeps its sign.  That
+tableau is never formed.  Between pivots the solver keeps only its slack
+block S = den.B^-1 (m x m), its right-hand side and the slack part z of
+its cost row, den being the last pivot (1 before the first); all are
+integers.  Column j of the tableau is S.(L.a_j) and its reduced cost is
+z.(L.a_j) - den.L.c_j, and a slack's reduced cost is its entry of z.
 
 The Edmonds/Bareiss update divides each row exactly by the previous
 pivot.  Rows whose entry in the entering column is 0 would only be
@@ -70,27 +54,23 @@ slack of the integer tableau is L times the LP's, so it is rhs/(den.L),
 and a nonbasic one is 0.  Before returning, the solver checks in exact
 arithmetic on the original LP that u - A.x equals the slack and is
 nonnegative (A.x summed over the basic columns only), that point and dual
-point are nonnegative, that y.A >= c holds in every column and strong
+point are nonnegative, that y.A >= c holds in every column (by the LP's
+``dual_feasible``, which must not depend on the pivots; a
+``LinearProgram`` checks it column by column in integers) and strong
 duality: (point, slack, dual_point) is a checked optimality certificate
-independent of the integer pivoting.  A ``LinearProgram`` checks y.A >= c
-column by column in integers; a ``ProductLP`` runs the backward pass on
-the integer duals, min_g sum_b y[row_b(g)] >= 1, which is exact and does
-not depend on the pivots.
+independent of the integer pivoting.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar
 
 from .errors import Malformed, Unbounded
-from .scenario import frontier_plan
 
 
 def _fraction(v) -> Fraction:
@@ -117,21 +97,6 @@ Column = tuple[tuple[int, tuple[int, ...]], ...]
 # price(z, den) -> (j, column j of L.A as integers, its reduced cost) for
 # Bland's entering structural column, or None if no reduced cost is < 0
 Pricing = Callable[[Sequence[int], int], "tuple[int, Column, int] | None"]
-
-
-def _row_view(columns, den: int, m: int):
-    """Row i of (1/den) times the integer columns as its nonzero (column,
-    coefficient) pairs by ascending column."""
-    rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
-    coefficient: dict[int, Fraction] = {}  # one Fraction per value
-    for j, column in enumerate(columns):
-        for a, indices in column:
-            if a not in coefficient:
-                coefficient[a] = Fraction(a, den)
-            entry = (j, coefficient[a])
-            for i in indices:
-                rows[i].append(entry)
-    return tuple([tuple(row) for row in rows])
 
 
 @dataclass(frozen=True)
@@ -195,7 +160,16 @@ class LinearProgram:
         """Row i of A as its nonzero (column, coefficient) pairs by
         ascending column: the row-wise view ``build`` takes, derived from
         the columns on each access."""
-        return _row_view(self.columns, self.den, len(self.bounds))
+        rows: list[list[tuple[int, Fraction]]] = [[] for _ in self.bounds]
+        coefficient: dict[int, Fraction] = {}  # one Fraction per value
+        for j, column in enumerate(self.columns):
+            for a, indices in column:
+                if a not in coefficient:
+                    coefficient[a] = Fraction(a, self.den)
+                entry = (j, coefficient[a])
+                for i in indices:
+                    rows[i].append(entry)
+        return tuple([tuple(row) for row in rows])
 
     @property
     def scale(self) -> int:
@@ -239,173 +213,6 @@ class LinearProgram:
             _dot(column, priced) * dc >= c * floor
             for column, c in zip(self.columns, cs)
         )
-
-
-@dataclass(frozen=True)
-class ProductLP:
-    """maximize sum(x)  subject to  A.x <= bounds, x >= 0, for the 0/1
-    matrix A of a product of outcome sets and a cover of contexts.
-
-    Column j is the j-th assignment g of ``itertools.product(*map(range,
-    radices))`` (position 0 most significant).  ``contexts[b]`` holds the
-    ascending positions of context b; it owns one row per assignment of
-    those positions, in the same product order, after the rows of the
-    contexts before it, and A has a 1 in the row of g's values there.
-    """
-
-    radices: tuple[int, ...]
-    contexts: tuple[tuple[int, ...], ...]
-    bounds: tuple[Fraction, ...]
-    den: ClassVar[int] = 1
-
-    def __post_init__(self):
-        n = len(self.radices)
-        if any(k < 1 for k in self.radices):
-            raise Malformed("every position needs an outcome")
-        if any(
-            not positions
-            or list(positions) != sorted(set(positions))
-            or positions[0] < 0
-            or positions[-1] >= n
-            for positions in self.contexts
-        ):
-            raise Malformed("a context is not ascending positions")
-        rows = sum(
-            math.prod([self.radices[p] for p in ps]) for ps in self.contexts
-        )
-        if len(self.bounds) != rows:
-            raise Malformed("row/bound count mismatch")
-        if any(b < 0 for b in self.bounds):
-            raise Malformed("negative bound: origin would be infeasible")
-
-    @functools.cached_property
-    def _weights(self) -> list[tuple[int, tuple[int, ...]]]:
-        """(offset, weights) per context: an assignment g meets its row
-        offset + sum_p g[p].weights[p], the weights being the context's
-        mixed-radix place values at its positions and 0 elsewhere."""
-        out = []
-        offset = 0
-        for positions in self.contexts:
-            weights = [0] * len(self.radices)
-            size = 1
-            for p in reversed(positions):
-                weights[p] = size
-                size *= self.radices[p]
-            out.append((offset, tuple(weights)))
-            offset += size
-        return out
-
-    def _meets(self, g: Sequence[int]) -> tuple[int, ...]:
-        """The row of each context that the assignment g meets."""
-        return tuple([
-            offset + sum(map(operator.mul, g, weights))
-            for offset, weights in self._weights
-        ])
-
-    @functools.cached_property
-    def objective(self) -> tuple[Fraction, ...]:
-        return (Fraction(1),) * math.prod(self.radices)
-
-    @property
-    def scale(self) -> int:
-        return math.lcm(*{b.denominator for b in self.bounds})
-
-    def column(self, j: int) -> Column:
-        g = []
-        for k in reversed(self.radices):
-            j, o = divmod(j, k)
-            g.append(o)
-        return ((1, self._meets(g[::-1])),)
-
-    @property
-    def columns(self) -> tuple[Column, ...]:
-        """Every column, in one pass over the product: for test oracles."""
-        return tuple([
-            ((1, self._meets(g)),)
-            for g in itertools.product(*map(range, self.radices))
-        ])
-
-    @property
-    def rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """The row-wise view of ``columns``, as ``LinearProgram.rows``."""
-        return _row_view(self.columns, 1, len(self.bounds))
-
-    @functools.cached_property
-    def _steps(self) -> list[tuple[int, list[list[int]], list[int], tuple]]:
-        """(k_d, rows, next, picks) per step d of the frontier plan.
-        Transition t = s.k_d + o takes state s of F_(d-1) and outcome o of
-        position d; rows[c][t] is the row it meets in the c-th context
-        completed at d, next[t] its state of F_d, and picks[o] slices out
-        the transitions of outcome o.  A state is the mixed-radix index of
-        an assignment of its frontier's positions, in ascending order."""
-        steps = []
-        for k, here, _, place, done in frontier_plan(self.radices, self.contexts):
-            moves = list(itertools.product(*[range(self.radices[p]) for p in here]))
-            rows = []
-            for b, _ in done:
-                offset, weights = self._weights[b]
-                weights = [weights[p] for p in here]
-                rows.append([offset + sum(map(operator.mul, g, weights)) for g in moves])
-            nxt = [sum(map(operator.mul, g, place)) for g in moves]
-            picks = tuple([slice(o, None, k) for o in range(k)])
-            steps.append((k, rows, nxt, picks))
-        return steps
-
-    def _suffix_minima(self, values: Sequence[int]) -> list[list[int]]:
-        """minima[d][s]: the least sum of ``values`` over the rows of the
-        contexts completed at depth d or later, over the assignments of
-        positions d.. that extend state s of F_(d-1); minima[n] is [0]."""
-        steps = self._steps
-        minima = [[0]] * (len(steps) + 1)
-        tail = minima[-1]
-        get = values.__getitem__
-        for d in range(len(steps) - 1, -1, -1):
-            k, rows, nxt, picks = steps[d]
-            total = list(map(tail.__getitem__, nxt))
-            for r in rows:
-                total = list(map(operator.add, total, map(get, r)))
-            if k > 1:
-                total = list(map(min, *map(total.__getitem__, picks)))
-            minima[d] = tail = total
-        return minima
-
-    def pricing(self) -> Pricing:
-        """Bland's entering column by the frontier DP: the first g in
-        product order whose sum of z over its rows is below den."""
-        scale = self.scale
-        steps = self._steps
-
-        def price(z, den):
-            minima = self._suffix_minima(z)
-            if minima[0][0] >= den:
-                return None
-            j = state = total = 0
-            met = []
-            for d, (k, rows, nxt, _) in enumerate(steps):
-                tail = minima[d + 1]
-                base = state * k
-                # the first outcome that some completion keeps below den;
-                # one exists, since total + minima[d][state] < den
-                for o in range(k):
-                    t = base + o
-                    here = total
-                    for r in rows:
-                        here += z[r[t]]
-                    if here + tail[nxt[t]] < den:
-                        break
-                j = j * k + o
-                total = here
-                state = nxt[t]
-                for r in rows:
-                    met.append(r[t])
-            return j, ((scale, tuple(sorted(met))),), scale * (total - den)
-
-        return price
-
-    def dual_feasible(self, ys: Sequence[int], dy: int) -> bool:
-        """y.A >= 1 in every column, for y = ys/dy with dy > 0: the least
-        sum of ys over a column's rows, by the backward pass."""
-        return self._suffix_minima(ys)[0][0] >= dy
 
 
 @dataclass(frozen=True)
@@ -476,10 +283,11 @@ def _dot(column, value: Callable[[int], int]) -> int:
 
 
 def solve(
-    lp: LinearProgram | ProductLP,
+    lp,
     trace: Callable[[int, Sequence[int]], None] | None = None,
 ) -> LpSolution:
-    """Run primal simplex with Bland's rule on an origin-feasible LP.
+    """Run primal simplex with Bland's rule on an origin-feasible LP: a
+    ``LinearProgram`` or any LP of the protocol in the module docstring.
 
     ``trace`` (optional) is called with (iteration, basis) before each
     pivot.  Tests use it to assert that no basis ever repeats, which is

@@ -737,9 +737,10 @@ def test_liar_witness_implies_logical(fr_model, pr_model):
 
 
 @st.composite
-def mixed_cycle_models(draw):
-    """Non-disturbing n-cycles, n = 3-5, with 2-3 outcomes per measurement
-    declared out of sorted order and the cycle in any measurement order.
+def mixed_cycle_models(draw, most=5):
+    """Non-disturbing n-cycles, n = 3 to ``most``, with 2-3 outcomes per
+    measurement declared out of sorted order and the cycle in any
+    measurement order.
 
     A weighted mix of shift boxes (a permutation support per context, so
     uniform marginals) and global assignments: each part is non-disturbing,
@@ -747,7 +748,7 @@ def mixed_cycle_models(draw):
     added assignment or box makes steps branch.  Rational, or the Boolean
     model with the same supports.
     """
-    n = draw(st.integers(3, 5))
+    n = draw(st.integers(3, most))
     k = draw(st.integers(2, 3))
     meas = [f"M{i}" for i in range(n)]
     ring = draw(st.permutations(meas))
@@ -800,6 +801,85 @@ def test_possibilistic_verdicts_read_the_model_as_its_collapse(model):
             assert liar_cycle_witness(model, order) == liar_cycle_witness(
                 shadow, order
             )
+
+
+def forced_outcomes(model, order, start):
+    """The outcomes of ``order`` forced one by one from ``start``, read off
+    the supported cells of each pair's table, or None at the first pair
+    where the known outcome has more or fewer than one supported partner."""
+    chain = [start]
+    for here, there in zip(order, order[1:]):
+        (ctx,) = [c for c in model.scenario.maximal_contexts if set(c) == {here, there}]
+        partners = [
+            sec[there]
+            for sec, v in model.tables[ctx].items()
+            if v and sec[here] == chain[-1]
+        ]
+        if len(partners) != 1:
+            return None
+        chain.append(partners[0])
+    return chain
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_cycle_models(most=6))
+def test_liar_chains_hold_against_the_tables(model):
+    scen = model.scenario
+    base = cycle_order(model)
+    for cycle in (base, base[::-1]):
+        for shift in range(len(cycle)):
+            order = cycle[shift:] + cycle[:shift]
+            first, last = order[0], order[-1]
+            (closing,) = [
+                c for c in scen.maximal_contexts if set(c) == {first, last}
+            ]
+            # start -> (forced outcomes, closing sections that contradict them)
+            contradicted = {}
+            for start in scen.outcomes[first]:
+                forced = forced_outcomes(model, order, start)
+                clashes = forced and sorted(
+                    (sec for sec, v in model.tables[closing].items()
+                     if v and sec[first] == start and sec[last] != forced[-1]),
+                    key=lambda sec: sec.values,
+                )
+                if clashes:
+                    contradicted[start] = (forced, clashes)
+            for start in scen.outcomes[first]:
+                got = liar_cycle_witness(model, order, start) is not None
+                assert got == (start in contradicted)
+            chain = liar_cycle_witness(model, order)
+            if chain is None:
+                assert not contradicted
+                continue
+            # the first start in declared order that closes into a contradiction
+            start = next(iter(contradicted))
+            forced, clashes = contradicted[start]
+            assert chain.order == tuple(order)
+            assert chain.start == (first, start)
+            known = chain.start
+            for step, there, outcome in zip(
+                chain.steps, order[1:], forced[1:], strict=True
+            ):
+                here, value = step.known
+                assert step.known == known
+                assert step.forced == (there, outcome)
+                assert set(step.context) == {here, there}
+                table = model.tables[step.context]
+                cells = [sec for sec in table if sec[here] == value]
+                assert [sec for sec in cells if table[sec]] == [
+                    sec for sec in cells if sec[there] == outcome
+                ]
+                assert [sec[there] for sec in step.zero_cells] == [
+                    o for o in scen.outcomes[there] if o != outcome
+                ]
+                assert all(
+                    sec[here] == value and table[sec] == 0
+                    for sec in step.zero_cells
+                )
+                known = step.forced
+            assert chain.closing_context == closing
+            assert chain.expected == known == (last, forced[-1])
+            assert list(chain.witnesses) == clashes
 
 
 def test_fab_three_conditions_on_worked_models(fr_model, pr_model):

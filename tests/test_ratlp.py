@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epimodal import Semiring, build_fr_model, new_model, new_scenario
-from epimodal.contextuality import _ncf_lp, noncontextual_fraction_certified
+from epimodal.contextuality import ProductLP, _ncf_lp, noncontextual_fraction_certified
 from epimodal.errors import Malformed, Unbounded
-from epimodal.ratlp import LinearProgram, ProductLP, _verify_certificate, solve
+from epimodal.ratlp import LinearProgram, _verify_certificate, solve
 from epimodal.scenario import sections
 from model_random import noisy_cycle_model
 
