@@ -201,12 +201,19 @@ def model_to_json(model: EmpiricalModel) -> str:
     return dumps(model_to_obj(model))
 
 
-def model_from_json(text: str) -> EmpiricalModel:
+def _loads(text: str):
+    """The JSON value of ``text``.  Text that is not JSON, or that nests
+    too deeply for the decoder (a RecursionError), raises ParseError."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc)) from exc
-    return model_from_obj(obj)
+    except RecursionError as exc:
+        raise ParseError(f"nested too deeply: {exc}") from exc
+
+
+def model_from_json(text: str) -> EmpiricalModel:
+    return model_from_obj(_loads(text))
 
 
 # -- Kripke structures --------------------------------------------------------
@@ -248,11 +255,7 @@ def topomodel_from_obj(obj, require_s4: bool = True) -> TopoModel:
 
 
 def topomodel_from_json(text: str, require_s4: bool = True) -> TopoModel:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(exc)) from exc
-    return topomodel_from_obj(obj, require_s4=require_s4)
+    return topomodel_from_obj(_loads(text), require_s4=require_s4)
 
 
 # -- reports ------------------------------------------------------------------

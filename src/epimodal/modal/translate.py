@@ -115,17 +115,21 @@ def _outcome_masks(
     ``masks[i][o]`` holds the worlds where agent i sees o.  Agent i's k-th
     outcome is a periodic pattern: a block of ``stride`` ones, stride being
     the product of the later agents' outcome counts, at offset k * stride in
-    each period of ``len(outcomes[i]) * stride`` worlds.  Repeating a
-    pattern over every period is multiplying it by the geometric sum
-    (2^worlds - 1) / (2^period - 1).
+    each period of ``len(outcomes[i]) * stride`` worlds.  The pattern is
+    repeated over every period by doubling shifts, each ORing in a copy
+    shifted by the width covered so far, and trimmed to the number of
+    worlds: linear in the worlds per agent, whatever the number of periods.
     """
-    period = math.prod(map(len, outcomes))  # agent 0's period: all worlds
-    every = (1 << period) - 1
+    worlds = math.prod(map(len, outcomes))
+    period = worlds  # agent 0's period: all worlds
     masks = []
     for values in outcomes:
         stride = period // len(values)
-        repeat = every // ((1 << period) - 1)
-        first = ((1 << stride) - 1) * repeat
+        first, width = (1 << stride) - 1, period
+        while width < worlds:
+            first |= first << width
+            width *= 2
+        first &= (1 << worlds) - 1
         masks.append({o: first << k * stride for k, o in enumerate(values)})
         period = stride
     return masks

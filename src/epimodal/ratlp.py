@@ -25,28 +25,28 @@ columns from column 0.
 
 The simplex is revised and fraction-free (Edmonds 1967 and Bareiss 1968,
 the integer pivoting lrs uses).  Multiplying every row and the objective
-by L gives the integer tableau [L.A | I | L.u]; it is the LP with each
-slack variable multiplied by L, so every ratio of one ratio test scales
-by the same positive factor and every reduced cost keeps its sign.  That
-tableau is never formed.  Between pivots the solver keeps only its slack
-block S = den.B^-1 (m x m), its right-hand side and the slack part z of
-its cost row, den being the last pivot (1 before the first); all are
-integers.  Column j of the tableau is S.(L.a_j) and its reduced cost is
-z.(L.a_j) - den.L.c_j, and a slack's reduced cost is its entry of z.
+by L gives the integer tableau [L.A | I | L.u]: the LP with each slack
+variable multiplied by L, so every ratio of one ratio test scales by the
+same positive factor and every reduced cost keeps its sign.  That tableau
+is never formed.  Between pivots the solver keeps its slack block
+S = den.B^-1 (m x m) as sparse rows, one {column: nonzero} dict per row,
+the right-hand side and the slack part z of the cost row, den being the
+last pivot (1 before the first); all are integers.  Column j of the
+tableau is S.(L.a_j), summed over each row's nonzeros, its reduced cost
+is z.(L.a_j) - den.L.c_j, and a slack's is its entry of z.
 
-The Edmonds/Bareiss update divides each row exactly by the previous
-pivot.  Rows whose entry in the entering column is 0 would only be
-rescaled by pivot/den, so they are left as they are: ``at[i]`` records the
-den at which row i was last written, and its entries at the current den
-are tab[i].den/at[i], exact because den.B^-1 is integral.  Only the
-entering column's entries and the right-hand sides the ratio test reads
-are rescaled; a row is written out only when its entering entry is
-nonzero or it leaves the basis.  The entering column is the first with a
-negative reduced cost (structural columns before slacks), the leaving row
-has the minimum ratio with ties to the smaller basis index, so the pivots,
-and with them the returned vertex, dual point, pivot count and unbounded
-ray, are those of the same simplex on a dense ``Fraction`` tableau.  Point
-and dual point are returned as ``fractions.Fraction``.
+The Edmonds/Bareiss update divides exactly by the previous pivot.  It
+rewrites only the rows the entering column meets, each over the union of
+its support and the pivot row's.  Any other row is left as it is, as it
+would only be rescaled by pivot/den: ``at[i]`` records the den at which
+row i was last written, and its entries at the current den are
+S[i].den/at[i], exact because den.B^-1 is integral.  The entering column
+is the first with a negative reduced cost (structural columns before
+slacks), the leaving row has the minimum ratio with ties to the smaller
+basis index, whatever the loop order, so the pivots, and with them the
+returned vertex, dual point, pivot count and unbounded ray, are those of
+the same simplex on a dense ``Fraction`` tableau.  Point and dual point
+are ``Fraction``s.
 
 Every optimum ships with the slack u - A.x of each row and a dual
 point.  The slack is read off the final basis like the point: a basic
@@ -298,13 +298,10 @@ def solve(
     m = len(lp.bounds)
     scale = lp.scale
     price = lp.pricing()
-    # tab[i] = [S[i] | rhs[i]] at den at[i], and z at den: the slack and
-    # right-hand-side columns of the integer tableau and the slack part of
-    # its cost row
-    tab = [
-        [int(i == k) for k in range(m)] + [b.numerator * (scale // b.denominator)]
-        for i, b in enumerate(lp.bounds)
-    ]
+    # the rows of S as {column: nonzero} and the right-hand side, row i at
+    # den at[i], and z, the slack part of the cost row, at den
+    tab = [{i: 1} for i in range(m)]
+    rhs = [b.numerator * (scale // b.denominator) for b in lp.bounds]
     at = [1] * m
     z = [0] * m
     den = 1
@@ -315,32 +312,33 @@ def solve(
         found = price(z, den)
         if found is not None:
             entering, column, reduced = found
-            col = [_dot(column, t.__getitem__) for t in tab]
+            # S.(L.a_j) over the nonzeros of each row, with L.a_j spread out
+            spread = [0] * m
+            for a, rows in column:
+                for k in rows:
+                    spread[k] = a
+            entry = spread.__getitem__
+            col = {i: f for i, row in enumerate(tab) if (f := sum(
+                map(operator.mul, row.values(), map(entry, row))))}
         else:
             entering = next((n + i for i in range(m) if z[i] < 0), None)
             if entering is None:
                 break
             reduced = z[entering - n]
-            col = [t[entering - n] for t in tab]
+            col = {i: row[entering - n] for i, row in enumerate(tab)
+                   if entering - n in row}
         if trace is not None:
             trace(pivots, tuple(basis))
-        # the entering column at den
-        col = [f if not f or a == den else f * den // a for f, a in zip(col, at)]
         leaving = None
-        for i, coeff in enumerate(col):
+        for i, coeff in col.items():
+            if at[i] != den:  # the entering column at den
+                col[i] = coeff = coeff * den // at[i]
             if coeff > 0:
-                rhs = tab[i][m]
-                if at[i] != den:
-                    rhs = rhs * den // at[i]
-                if leaving is not None:
-                    # ratio rhs/coeff against the best row's, cross-multiplied
-                    here = rhs * best_coeff
-                    best = best_rhs * coeff
-                    if not (
-                        here < best or (here == best and basis[i] < basis[leaving])
-                    ):
-                        continue
-                leaving, best_rhs, best_coeff = i, rhs, coeff
+                r = rhs[i] if at[i] == den else rhs[i] * den // at[i]
+                # ratio r/coeff against the best row's, cross-multiplied
+                if leaving is None or (r * best_coeff, basis[i]) < (
+                        best_rhs * coeff, basis[leaving]):
+                    leaving, best_rhs, best_coeff = i, r, coeff
         if leaving is None:
             # slack columns carry a factor 1/L against the unscaled LP
             unit = Fraction(scale if entering >= n else 1, den)
@@ -349,45 +347,45 @@ def solve(
                 ray[entering] = Fraction(1)
             for i in range(m):
                 if basis[i] < n:
-                    ray[basis[i]] = -col[i] * unit
+                    ray[basis[i]] = -col.get(i, 0) * unit
             raise Unbounded(tuple(ray))
         pivot = col[leaving]
-        prow = tab[leaving]
+        prow, prhs = tab[leaving], rhs[leaving]
         if at[leaving] != den:
             last = at[leaving]
-            prow = [a * den // last for a in prow]
+            prow = {k: a * den // last for k, a in prow.items()}
+            prhs = prhs * den // last
         # Edmonds/Bareiss step on the rows the entering column meets: every
-        # division is exact.  The pivot row is unchanged at the new den.
-        for i, f in enumerate(col):
-            if f and i != leaving:
+        # division is exact, so an entry off the pivot row's support is only
+        # rescaled and stays nonzero.  The pivot row is unchanged at the new den.
+        for i, f in col.items():
+            if i != leaving:
+                # the row at den is row.den/at[i]
+                p, q, d = (pivot, f, den) if at[i] == den else (
+                        pivot * den, f * at[i], den * at[i])
                 row = tab[i]
-                if at[i] == den:
-                    tab[i] = [(pivot * a - f * b) // den for a, b in zip(row, prow)]
-                else:
-                    # the row at den is row.den/at[i]
-                    p, q, d = pivot * den, f * at[i], den * at[i]
-                    tab[i] = [(p * a - q * b) // d for a, b in zip(row, prow)]
+                get = row.get
+                tab[i] = new = {k: a for k, b in prow.items()
+                                if (a := (p * get(k, 0) - q * b) // d)}
+                for k in row.keys() - prow.keys():
+                    new[k] = p * row[k] // d
+                rhs[i] = (p * rhs[i] - q * prhs) // d
                 at[i] = pivot
-        tab[leaving] = prow
+        tab[leaving], rhs[leaving] = prow, prhs
         at[leaving] = pivot
-        # zip stops at the end of z, before prow's rhs
-        z = [(pivot * a - reduced * b) // den for a, b in zip(z, prow)]
+        z = [(pivot * a - reduced * prow.get(k, 0)) // den for k, a in enumerate(z)]
         den = pivot
         basis[leaving] = entering
         pivots += 1
 
     xs = [Fraction(0)] * (n + m)  # point, then slack
     for i, var in enumerate(basis):
-        xs[var] = Fraction(tab[i][m], at[i] if var < n else at[i] * scale)
+        xs[var] = Fraction(rhs[i], at[i] if var < n else at[i] * scale)
     x, s = xs[:n], xs[n:]
     y = tuple([Fraction(w, den) for w in z])  # a list: see build
     support = [j for j in basis if j < n]
     value = sum((lp.objective[j] * x[j] for j in support), Fraction(0))
     _verify_certificate(lp, x, s, y, value, support)
     return LpSolution(
-        value=value,
-        point=tuple(x),
-        slack=tuple(s),
-        dual_point=y,
-        pivots=pivots,
+        value=value, point=tuple(x), slack=tuple(s), dual_point=y, pivots=pivots
     )

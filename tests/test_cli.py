@@ -189,12 +189,8 @@ def test_bundle_writes_non_ascii_ids_as_utf8(tmp_path):
     assert '"Ä:ü" [xlabel="ü"];' in body.decode("utf-8")
 
 
-@pytest.mark.parametrize("data", [
-    b'\xff\xfe{"a":1}',  # a UTF-16 byte order mark
-    '{"worlds": ["\u00e4"]}'.encode("latin-1"),
-    '{"worlds": ["\u00e4"]}'.encode("utf-8")[:-4],  # a cut multi-byte sequence
-], ids=["utf-16", "latin-1", "cut"])
-@pytest.mark.parametrize("argv", [
+# every subcommand that reads a model or frame file, before its path
+FILE_COMMANDS = [
     ["analyze"],
     ["bundle"],
     ["translate"],
@@ -202,7 +198,15 @@ def test_bundle_writes_non_ascii_ids_as_utf8(tmp_path):
     ["modal", "trust", "--truster", "a", "--trusted", "a"],
     ["modal", "axioms"],
     ["modal", "truth"],
-])
+]
+
+
+@pytest.mark.parametrize("data", [
+    b'\xff\xfe{"a":1}',  # a UTF-16 byte order mark
+    '{"worlds": ["\u00e4"]}'.encode("latin-1"),
+    '{"worlds": ["\u00e4"]}'.encode("utf-8")[:-4],  # a cut multi-byte sequence
+], ids=["utf-16", "latin-1", "cut"])
+@pytest.mark.parametrize("argv", FILE_COMMANDS)
 def test_input_that_is_not_utf8_exit_2(tmp_path, capsys, data, argv):
     path = tmp_path / "in.json"
     path.write_bytes(data)
@@ -210,6 +214,21 @@ def test_input_that_is_not_utf8_exit_2(tmp_path, capsys, data, argv):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path} is not UTF-8: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("depth", [1000, 100_000])
+@pytest.mark.parametrize("opening,closing", [
+    ("[", "]"),
+    ('{"a":', "}"),
+], ids=["list", "object"])
+@pytest.mark.parametrize("argv", FILE_COMMANDS)
+def test_deeply_nested_input_exit_2(tmp_path, capsys, argv, opening, closing, depth):
+    # a decoder that recurses past the interpreter's limit, or one that
+    # does not and hands the nesting to the model reader: one error line
+    path = tmp_path / "in.json"
+    path.write_text(opening * depth + "0" + closing * depth)
+    assert main([*argv, str(path)]) == 2
+    assert_one_line_error(capsys)
 
 
 def test_translate_command(tmp_path):

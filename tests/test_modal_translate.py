@@ -301,6 +301,25 @@ def test_mutual_masks_beyond_binary_outcomes(model):
     ]
 
 
+@pytest.mark.parametrize("counts", [
+    (3, 2, 4),  # 3, 6 and 24 periods
+    (2, 3, 3, 2),  # 2, 6, 18 and 36 periods
+    (4, 3, 3),
+    (3,),
+    (1, 3, 1),
+    (2,) * 14,
+])
+def test_outcome_masks_match_the_product_listing(counts):
+    outcomes = tuple(tuple(f"o{k}" for k in range(c)) for c in counts)
+    worlds = list(itertools.product(*outcomes))
+    for i, by_outcome in enumerate(_outcome_masks(outcomes)):
+        assert list(by_outcome) == list(outcomes[i])
+        for o, mask in by_outcome.items():
+            # world w is bit w: the listing read from its last world down
+            bits = "".join("1" if values[i] == o else "0" for values in reversed(worlds))
+            assert mask == int(bits, 2)
+
+
 @settings(max_examples=100, deadline=None)
 @given(connected_boolean_models())
 def test_mutual_soundness_reads_only_the_translation(model):

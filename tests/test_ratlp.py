@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -387,21 +388,25 @@ def test_unbounded_ray_through_an_entering_slack():
     assert set(integer[2][-1]) == {0, 1}
 
 
-NOISE = [F(1, 12), F(1, 8), F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(1, 5)]
+NOISE = [F(1, 12), F(1, 8), F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(1, 5), F(1, 7)]
+# (noise, odd_at) of the noisy n-cycles by n, and of the strong 5-cycle:
+# without noise half the bounds are 0, so its pivots are degenerate
+NCYCLES = {n: (NOISE[:n], n // 2) for n in range(3, 9)}
+NCYCLES["strong-5"] = ([F(0)] * 5, 2)
 
 
-@pytest.mark.parametrize("n", range(3, 8))
-def test_ncycle_lp_matches_fraction_tableau_oracle(n, monkeypatch):
-    model = noisy_cycle_model(NOISE[:n], odd_at=n // 2)
+@pytest.mark.parametrize("case", NCYCLES)
+def test_ncycle_lp_matches_fraction_tableau_oracle(case, monkeypatch):
+    noise, odd_at = NCYCLES[case]
     lps = []
     monkeypatch.setattr(
         "epimodal.ratlp.solve", lambda lp, trace=None: lps.append(lp) or solved(lp)
     )
-    noncontextual_fraction_certified(model)
+    noncontextual_fraction_certified(noisy_cycle_model(noise, odd_at=odd_at))
     (lp,) = lps
     integer, reference = run_both(lp)
     assert integer == reference
-    assert integer[0] == min(1, sum(NOISE[:n]) / 2)
+    assert integer[0] == min(1, sum(noise) / 2)
     assert integer[4] > 0
 
 
@@ -677,16 +682,32 @@ def test_ncf_certificate_corruptions_are_rejected_on_both_lp_types(name):
                     check(target, *certificate)
 
 
+# sha256 of the bases the trace sees, one comma-joined basis per line: the
+# exact pivot path at the wall, so that a change of storage or loop order
+# in ``solve`` that moves any pivot fails here
+PIVOT_PATHS = {
+    10: "2a5b4ecf059d2b2f34ca95f037ca25a86d72044f982295ecd5838d031e50fee4",
+    12: "db0c4f080e8eee770811fcf5ec5d09f8bcb94ef571d03d953b091ea4f2bbcb9f",
+    14: "e17b30b9ec6d906fbe86baad79ea330819d4b06be7c65d30466d950ac9848428",
+}
+
+
 @pytest.mark.parametrize("n,noise,pivots", [
     (10, F(1, 3), 221),
     (12, F(1, 3), 812),
     (14, F(1, 10), 28),
 ])
-def test_ncf_wall_pivots_and_closed_form(n, noise, pivots):
+def test_ncf_wall_pivots_and_closed_form(n, noise, pivots, monkeypatch):
+    bases = []
+    monkeypatch.setattr("epimodal.ratlp.solve", lambda lp, trace=None: solve(
+        lp, trace=lambda i, basis: bases.append(basis)
+    ))
     solution = noncontextual_fraction_certified(noisy_cycle_model([noise] * n))
     assert solution.value == min(1, n * noise / 2)
-    assert solution.pivots == pivots
+    assert solution.pivots == pivots == len(bases)
     assert len(solution.point) == 2 ** n
+    path = "\n".join(",".join(map(str, basis)) for basis in bases)
+    assert hashlib.sha256(path.encode()).hexdigest() == PIVOT_PATHS[n]
 
 
 def test_product_lp_column_matches_the_expansion():
