@@ -136,7 +136,7 @@ def frontier_walk(model: EmpiricalModel) -> FrontierWalk:
     completed = []
     widths = []
     states: dict[State, None] = {(): None}
-    for m, (_, _, kept, _, done) in zip(meas, sc.frontier_plan(*_shape(scen))):
+    for m, (_, kept, done) in zip(meas, sc.frontier_plan(*_shape(scen))):
         keep = sc.picker(kept)
         checks = [(sc.picker(at), rows[b], met[b]) for b, at in done]
         live = {}
@@ -218,6 +218,17 @@ def _lp_rows(scen: sc.MeasurementScenario) -> list[tuple[Context, Section]]:
     return [(c, sec) for c in scen.maximal_contexts for sec in sc.sections(scen, c)]
 
 
+def _indices(moves, sizes: Sequence[int], at: Sequence[int], offset=0) -> list[int]:
+    """offset + each move's mixed-radix index at its indices ``at``
+    (ascending, the last least significant), index i taking sizes[i] values."""
+    place = [0] * len(sizes)
+    size = 1
+    for i in reversed(at):
+        place[i] = size
+        size *= sizes[i]
+    return [offset + sum(map(operator.mul, g, place)) for g in moves]
+
+
 @dataclass(frozen=True)
 class ProductLP:
     """The noncontextual-fraction LP, stored by its shape alone: maximize
@@ -231,22 +242,23 @@ class ProductLP:
     row per assignment of those positions, in the same product order, after
     the rows of the contexts before it (the order of ``_lp_rows``), and A
     has a 1 in the row of g's values there.  None of the N = k_1...k_n
-    columns is stored; ``column(j)`` computes one, and ``columns`` and
-    ``rows`` expand all of them for test oracles.
+    columns is stored.  ``_steps`` is the one place that numbers rows and
+    states: on the frontiers F_d of ``scenario.frontier_plan``, it gives
+    for each state of F_(d-1) and outcome of d the rows of the contexts
+    completed at d and the next state.  ``column(j)`` follows j's path
+    through those tables, and ``columns`` and ``rows`` expand every column
+    for test oracles.
 
-    Pricing is a dynamic programme over the positions in order.  The
-    reduced cost of g is L.(sum_b z[row_b(g)] - den), so Bland's rule
-    enters the lexicographically first g whose sum is below den.  On the
-    frontiers F_d of ``scenario.frontier_plan``, static tables give, for
-    each state of F_(d-1) and outcome of d, the rows of the contexts
-    completed at d and the next state.  A backward pass computes, for each
-    state, the exact minimum of the sums still to come; a forward pass
-    then takes at each depth the first outcome that keeps a completion
-    below den, and never backtracks.  On an n-cycle that is 8 transitions
-    per depth against up to 2^n columns, and no state space is larger than
-    N.  The dual check runs the same backward pass on the integer duals,
-    min_g sum_b y[row_b(g)] >= 1, which is exact and does not depend on
-    the pivots.
+    Pricing is a dynamic programme over the same tables.  The reduced cost
+    of g is L.(sum_b z[row_b(g)] - den), so Bland's rule enters the
+    lexicographically first g whose sum is below den.  A backward pass
+    computes, for each state, the exact minimum of the sums still to
+    come; a forward pass then takes at each depth the first outcome that
+    keeps a completion below den, and never backtracks.  On an n-cycle
+    that is 8 transitions per depth against up to 2^n columns, and no
+    state space is larger than N.  The dual check runs the same backward
+    pass on the integer duals, min_g sum_b y[row_b(g)] >= 1, which is
+    exact and does not depend on the pivots.
     """
 
     radices: tuple[int, ...]
@@ -275,30 +287,6 @@ class ProductLP:
             raise Malformed("negative bound: origin would be infeasible")
 
     @functools.cached_property
-    def _weights(self) -> list[tuple[int, tuple[int, ...]]]:
-        """(offset, weights) per context: an assignment g meets its row
-        offset + sum_p g[p].weights[p], the weights being the context's
-        mixed-radix place values at its positions and 0 elsewhere."""
-        out = []
-        offset = 0
-        for positions in self.contexts:
-            weights = [0] * len(self.radices)
-            size = 1
-            for p in reversed(positions):
-                weights[p] = size
-                size *= self.radices[p]
-            out.append((offset, tuple(weights)))
-            offset += size
-        return out
-
-    def _meets(self, g: Sequence[int]) -> tuple[int, ...]:
-        """The row of each context that the assignment g meets."""
-        return tuple([
-            offset + sum(map(operator.mul, g, weights))
-            for offset, weights in self._weights
-        ])
-
-    @functools.cached_property
     def objective(self) -> tuple[Fraction, ...]:
         return (Fraction(1),) * math.prod(self.radices)
 
@@ -307,19 +295,22 @@ class ProductLP:
         return math.lcm(*{b.denominator for b in self.bounds})
 
     def column(self, j: int) -> ratlp.Column:
-        g = []
-        for k in reversed(self.radices):
-            j, o = divmod(j, k)
-            g.append(o)
-        return ((1, self._meets(g[::-1])),)
+        """Column j: the rows met on j's path through ``_steps``."""
+        size = len(self.objective)
+        state = 0
+        met = []
+        for k, rows, nxt, _ in self._steps:
+            size //= k
+            o, j = divmod(j, size)
+            t = state * k + o
+            met.extend([r[t] for r in rows])
+            state = nxt[t]
+        return ((1, tuple(sorted(met))),)
 
     @property
     def columns(self) -> tuple[ratlp.Column, ...]:
-        """Every column, in one pass over the product: for test oracles."""
-        return tuple([
-            ((1, self._meets(g)),)
-            for g in itertools.product(*map(range, self.radices))
-        ])
+        """Every column: for test oracles."""
+        return tuple([self.column(j) for j in range(len(self.objective))])
 
     @property
     def rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
@@ -328,23 +319,23 @@ class ProductLP:
 
     @functools.cached_property
     def _steps(self) -> list[tuple[int, list[list[int]], list[int], tuple]]:
-        """(k_d, rows, next, picks) per step d of the frontier plan.
-        Transition t = s.k_d + o takes state s of F_(d-1) and outcome o of
-        position d; rows[c][t] is the row it meets in the c-th context
-        completed at d, next[t] its state of F_d, and picks[o] slices out
-        the transitions of outcome o.  A state is the mixed-radix index of
-        an assignment of its frontier's positions, in ascending order."""
+        """(k_d, rows, next, picks) per step (here, kept, done) of the
+        frontier plan, each index by ``_indices`` over ``here``.  Transition
+        t = s.k_d + o takes state s of F_(d-1) and outcome o of position d;
+        next[t] is t's index at ``kept``, its state of F_d, and rows[c][t]
+        the row it meets in the c-th context b completed at d: offset_b +
+        t's index at b's positions.  picks[o] slices out outcome o's transitions."""
+        radices = self.radices
+        counts = [math.prod([radices[p] for p in ps]) for ps in self.contexts]
+        offsets = list(itertools.accumulate(counts, initial=0))
         steps = []
-        for k, here, _, place, done in sc.frontier_plan(self.radices, self.contexts):
-            moves = list(itertools.product(*[range(self.radices[p]) for p in here]))
-            rows = []
-            for b, _ in done:
-                offset, weights = self._weights[b]
-                weights = [weights[p] for p in here]
-                rows.append([offset + sum(map(operator.mul, g, weights)) for g in moves])
-            nxt = [sum(map(operator.mul, g, place)) for g in moves]
+        for here, kept, done in sc.frontier_plan(radices, self.contexts):
+            sizes = [radices[p] for p in here]
+            moves = list(itertools.product(*map(range, sizes)))
+            k = sizes[-1]
+            rows = [_indices(moves, sizes, at, offsets[b]) for b, at in done]
             picks = tuple([slice(o, None, k) for o in range(k)])
-            steps.append((k, rows, nxt, picks))
+            steps.append((k, rows, _indices(moves, sizes, kept), picks))
         return steps
 
     def _suffix_minima(self, values: Sequence[int]) -> list[list[int]]:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 
@@ -40,11 +41,20 @@ from .contextuality import ContextualityReport
 from .empirical import EmpiricalModel, NoDisturbanceReport, Semiring, new_model
 from .errors import EpimodalError
 from .modal import MultiAgentScenario, TopoModel
-from .scenario import AssignmentKeys, Assignments, MeasurementScenario, new_scenario
+from .scenario import AssignmentKeys, MeasurementScenario, new_scenario
 
 
 class ParseError(EpimodalError):
     pass
+
+
+# Every value or exception a ParseError quotes is written by this one
+# bounded repr, so its one error line stays short whatever the file holds.
+_repr = reprlib.Repr()
+_repr.maxlevel, _repr.maxlist, _repr.maxdict = 1, 3, 2
+_repr.maxstring = _repr.maxlong = 30
+_repr.maxother = 80  # an exception
+_quote = _repr.repr
 
 
 # The only cell form a file may hold: no floats, exponents, spaces or "_".
@@ -53,7 +63,7 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 def _cell(value) -> Fraction:
     if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
-        raise ParseError(f"cell {value!r} is not a rational string like \"1/3\"")
+        raise ParseError(f"cell {_quote(value)} is not a rational string like \"1/3\"")
     return Fraction(value)
 
 
@@ -140,9 +150,11 @@ def scenario_to_obj(scenario: MeasurementScenario) -> dict:
     }
 
 
-def _strings(value, what: str) -> list[str]:
+def _strings(value, what: str, key=None) -> list[str]:
+    """``value``, a list of strings: ``what`` (of ``key``, if given) names it."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ParseError(f"{what} must be a list of strings, got {value!r}")
+        name = what if key is None else f"{what} {_quote(key)}"
+        raise ParseError(f"{name} must be a list of strings, got {_quote(value)}")
     return value
 
 
@@ -150,17 +162,17 @@ def scenario_from_obj(obj) -> MeasurementScenario:
     try:
         contexts = obj["contexts"]
         if not isinstance(contexts, list):
-            raise ParseError(f"contexts must be a list, got {contexts!r}")
+            raise ParseError(f"contexts must be a list, got {_quote(contexts)}")
         return new_scenario(
             _strings(obj["measurements"], "measurements"),
             [_strings(c, "each context") for c in contexts],
             {
-                m: _strings(values, f"outcomes of {m!r}")
+                m: _strings(values, "outcomes of", m)
                 for m, values in obj["outcomes"].items()
             },
         )
     except (AttributeError, KeyError, TypeError) as exc:
-        raise ParseError(f"bad scenario object: {exc!r}") from exc
+        raise ParseError(f"bad scenario object: {_quote(exc)}") from exc
 
 
 # -- empirical models ---------------------------------------------------------
@@ -193,7 +205,7 @@ def model_from_obj(obj) -> EmpiricalModel:
     except (
         AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError
     ) as exc:
-        raise ParseError(f"bad model object: {exc!r}") from exc
+        raise ParseError(f"bad model object: {_quote(exc)}") from exc
     return new_model(scenario, semiring, tables)
 
 
@@ -202,11 +214,12 @@ def model_to_json(model: EmpiricalModel) -> str:
 
 
 def _loads(text: str):
-    """The JSON value of ``text``.  Text that is not JSON, or that nests
-    too deeply for the decoder (a RecursionError), raises ParseError."""
+    """The JSON value of ``text``.  Text that is not JSON (a ValueError,
+    also for an int past the interpreter's digit limit) or that nests too
+    deeply for the decoder (a RecursionError) raises ParseError."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(str(exc)) from exc
     except RecursionError as exc:
         raise ParseError(f"nested too deeply: {exc}") from exc
@@ -234,8 +247,10 @@ def topomodel_to_obj(model: TopoModel) -> dict:
 
 def _pairs(value, agent: str) -> list[tuple[str, ...]]:
     if not isinstance(value, list):
-        raise ParseError(f"relation of {agent!r} must be a list of pairs, got {value!r}")
-    return [tuple(_strings(p, f"each pair of {agent!r}")) for p in value]
+        raise ParseError(
+            f"relation of {_quote(agent)} must be a list of pairs, got {_quote(value)}"
+        )
+    return [tuple(_strings(p, "each pair of", agent)) for p in value]
 
 
 def topomodel_from_obj(obj, require_s4: bool = True) -> TopoModel:
@@ -245,13 +260,13 @@ def topomodel_from_obj(obj, require_s4: bool = True) -> TopoModel:
             _strings(obj["agents"], "agents"),
             {a: _pairs(pairs, a) for a, pairs in obj["relations"].items()},
             {
-                p: _strings(where, f"valuation of {p!r}")
+                p: _strings(where, "valuation of", p)
                 for p, where in obj.get("valuation", {}).items()
             },
             require_s4=require_s4,
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad topomodel object: {exc!r}") from exc
+        raise ParseError(f"bad topomodel object: {_quote(exc)}") from exc
 
 
 def topomodel_from_json(text: str, require_s4: bool = True) -> TopoModel:
@@ -316,9 +331,7 @@ def translation_to_obj(scenario: MultiAgentScenario) -> dict:
         "trust_pairs": sorted(
             [sorted(a), sorted(b)] for a, b in scenario.trust_pairs
         ),
-        "mutual_worlds": Assignments.product(
-            scenario.agents, scenario.outcomes
-        ).keys(),
+        "mutual_worlds": scenario.mutual_worlds.keys(),
         "distributed_worlds": [
             [_context_key(ctx), section.key()]
             for ctx, section in scenario.distributed_worlds

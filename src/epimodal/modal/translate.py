@@ -57,8 +57,8 @@ class MultiAgentScenario:
     def mutual_worlds(self) -> sc.Assignments:
         """Every global outcome assignment, lexicographically: a lazy
         ``Assignments.product`` that builds a ``Section`` only for a world
-        that is read.  Soundness and the JSON keys work from ``outcomes``
-        and never read this listing.
+        that is read.  Soundness works from ``outcomes``, and the JSON
+        writes the listing's ``keys()``, which build no ``Section``.
         """
         return sc.Assignments.product(self.agents, self.outcomes)
 

@@ -11,8 +11,9 @@ do not restrict ``Section`` objects one by one: :func:`projection` finds the
 positions of a subcontext inside a context once and returns a function from
 a values tuple to the sub-tuple, which those loops compare against sets of
 plain value tuples.  :func:`restrict` stays the ``Section``-level operation.
-:func:`frontier_plan` is the path decomposition that the
-noncontextual-fraction LP and ``contextuality``'s walk run on.
+:func:`frontier_plan` is the path decomposition that ``contextuality``'s
+walk and its noncontextual-fraction LP run on, in positions only: the
+walk keys a state by its outcomes, and the LP numbers states and rows.
 :class:`Assignments` lists 2^n global assignments as about 2^(n/2) heads
 and shared tails, and builds a ``Section`` or key only when one is read.
 
@@ -308,17 +309,16 @@ def frontier_plan(
 ) -> list[tuple]:
     """The path decomposition of a product of outcome sets (``radices[p]``
     outcomes at position p) by contexts given as ascending positions: one
-    step (k, here, kept, place, done) per position d.
+    step (here, kept, done) per position d, in positions only.
 
     The frontier F_d holds the positions <= d that lie in a context ending
     after d; a state is an assignment of F_d, and F_(n-1) is empty.  At
-    step d a transition takes a state of F_(d-1) and one of the ``k``
-    outcomes of position d, so it assigns ``here`` = F_(d-1) + (d,) in
-    ascending order.  ``kept`` indexes the positions of F_d in ``here``,
-    ``place`` is the mixed-radix place value over ``here`` of a state of
-    F_d (0 at a dropped position), and ``done`` holds (context index,
-    indices of its positions in ``here``) for each context whose last
-    position is d: a pass over the steps meets each context's row there.
+    step d a transition takes a state of F_(d-1) and one outcome of
+    position d, so it assigns ``here`` = F_(d-1) + (d,) in ascending
+    order.  ``kept`` indexes the positions of F_d in ``here``, and
+    ``done`` holds (context index, indices of its positions in ``here``)
+    for each context whose last position is d: a pass over the steps
+    meets each context there.  The plan numbers nothing.
     """
     # the last position of the contexts that hold p: p is on F_d exactly
     # for p <= d < reach[p]
@@ -328,20 +328,15 @@ def frontier_plan(
             reach[p] = max(reach[p], ps[-1])
     steps = []
     before: tuple[int, ...] = ()
-    for d, k in enumerate(radices):
+    for d in range(len(radices)):
         here = (*before, d)
         kept = tuple([i for i, p in enumerate(here) if reach[p] > d])
-        place = [0] * len(here)
-        size = 1
-        for i in reversed(kept):
-            place[i] = size
-            size *= radices[here[i]]
         done = tuple([
             (b, tuple([here.index(p) for p in ps]))
             for b, ps in enumerate(contexts)
             if ps[-1] == d
         ])
-        steps.append((k, here, kept, place, done))
+        steps.append((here, kept, done))
         before = tuple([here[i] for i in kept])
     return steps
 

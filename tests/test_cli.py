@@ -14,7 +14,7 @@ from epimodal.cli import analysis_report, main
 from epimodal.contextuality import cycle_order
 from epimodal.dot import bundle_dot
 from epimodal.jsonio import model_to_json
-from epimodal.modal import MultiAgentScenario, translate
+from epimodal.modal import translate
 from model_random import noisy_cycle_model
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -227,6 +227,63 @@ def test_deeply_nested_input_exit_2(tmp_path, capsys, argv, opening, closing, de
     # does not and hands the nesting to the model reader: one error line
     path = tmp_path / "in.json"
     path.write_text(opening * depth + "0" + closing * depth)
+    assert main([*argv, str(path)]) == 2
+    assert_one_line_error(capsys)
+
+
+def _model_with(place):
+    obj = json.loads((GOLDEN / "fr_model.json").read_text())
+    place(obj)
+    return obj
+
+
+def _frame_with(field, value):
+    frame = {
+        "worlds": ["u", "v"], "agents": ["a"],
+        "relations": {"a": [["u", "u"], ["v", "v"]]}, "valuation": {"p": ["u"]},
+    }
+    frame[field] = value
+    return frame
+
+
+# inputs whose parse error quotes a huge value or a huge exception
+HUGE_MODELS = [
+    _model_with(lambda o: o["scenario"].update(measurements=list(range(200_000)))),
+    _model_with(lambda o: o["tables"]["A,B"].update({"0,1": "9" * 500_000 + "x"})),
+    _model_with(lambda o: o.update(semiring="y" * 500_000)),
+    _model_with(lambda o: o["scenario"].update(
+        contexts={str(i): [str(i)] * 9 for i in range(200_000)}
+    )),
+    _model_with(lambda o: o["scenario"]["outcomes"].update(
+        {"z" * 500_000: [[["w" * 1000] * 1000]] * 9}
+    )),
+]
+HUGE_FRAMES = [
+    _frame_with("worlds", list(range(200_000))),
+    _frame_with("agents", ["a" * 500_000, 1]),
+    _frame_with("relations", {"a" * 500_000: {"b" * 1000: "c" * 500_000}}),
+    _frame_with("relations", {"a": [[[["x" * 1000] * 100] * 100]] * 9}),
+    _frame_with("valuation", {"p" * 400_000: [[1] * 100_000, 2]}),
+]
+
+
+@pytest.mark.parametrize("argv", FILE_COMMANDS)
+def test_parse_errors_quote_a_bounded_value(tmp_path, capsys, argv):
+    path = tmp_path / "in.json"
+    for obj in HUGE_FRAMES if argv[0] == "modal" else HUGE_MODELS:
+        path.write_text(json.dumps(obj))
+        assert main([*argv, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) <= 300, err
+
+
+@pytest.mark.parametrize("argv", FILE_COMMANDS)
+def test_an_int_too_long_to_read_exit_2(tmp_path, capsys, argv):
+    # past the interpreter's digit limit (3.11+), the decoder raises a
+    # ValueError that is no JSONDecodeError
+    path = tmp_path / "in.json"
+    path.write_text('{"worlds": [' + "9" * 5000 + "]}")
     assert main([*argv, str(path)]) == 2
     assert_one_line_error(capsys)
 
@@ -447,12 +504,11 @@ def test_analyze_and_translate_build_no_mutual_world(
     assert main(["translate", str(path)]) == 0
     translated = capsys.readouterr().out
 
-    def unreachable(self):
-        raise AssertionError("a mutual world was built as a Section")
+    def unreachable(self, values):
+        raise AssertionError("a world was built as a Section")
 
-    monkeypatch.setattr(
-        MultiAgentScenario, "mutual_worlds", property(unreachable)
-    )
+    # the JSON reads the mutual worlds as keys: no listing item is built
+    monkeypatch.setattr(epimodal.scenario.Assignments, "_item", unreachable)
     assert analysis_report(model) == report
     assert main(["translate", str(path)]) == 0
     assert capsys.readouterr().out == translated

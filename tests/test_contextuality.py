@@ -31,6 +31,8 @@ import epimodal.empirical
 import epimodal.ratlp
 import epimodal.scenario
 from epimodal.contextuality import (
+    ProductLP,
+    _shape,
     cycle_order,
     frontier_walk,
     noncontextual_fraction_certified,
@@ -555,18 +557,29 @@ def stored(lp):
     return LinearProgram(lp.objective, lp.bounds, lp.columns, lp.den)
 
 
-def restrict_comprehension_lp(model):
-    """(objective, dense rows, bounds) of the noncontextual-fraction LP: a
-    row per (context, section), a column per global assignment, the entry
-    1 where the assignment restricts to the section."""
-    scen = model.scenario
+def restrict_comprehension_rows(scen):
+    """The dense rows of the noncontextual-fraction LP of a scenario: a row
+    per (context, section), a column per global assignment, the entry 1
+    where the assignment restricts to the section."""
     lam = global_section_space(scen)
-    rows, bounds = [], []
-    for ctx in scen.maximal_contexts:
-        for section in sections(scen, ctx):
-            rows.append([F(int(restrict(g, ctx) == section)) for g in lam])
-            bounds.append(model.tables[ctx][section])
-    return [F(1)] * len(lam), rows, bounds
+    return [
+        [F(int(restrict(g, ctx) == section)) for g in lam]
+        for ctx in scen.maximal_contexts
+        for section in sections(scen, ctx)
+    ]
+
+
+def restrict_comprehension_lp(model):
+    """(objective, dense rows, bounds) of the noncontextual-fraction LP of
+    a model: its scenario's rows, bounded by its cells."""
+    scen = model.scenario
+    rows = restrict_comprehension_rows(scen)
+    bounds = [
+        model.tables[ctx][section]
+        for ctx in scen.maximal_contexts
+        for section in sections(scen, ctx)
+    ]
+    return [F(1)] * len(rows[0]), rows, bounds
 
 
 def pushforward_model(scen, weights):
@@ -626,6 +639,36 @@ def test_ncf_lp_columns_beyond_binary_cycles(make, monkeypatch):
     )
     assert 0 < solution.value <= 1
     assert (solution.value == 1) == (make is mixed_arity_model)
+
+
+@st.composite
+def lp_shapes(draw):
+    """A scenario of ``multi_outcome_models`` with a measurement E added
+    alone in a one-measurement context, declared anywhere, and one
+    measurement (E or another) cut down to a single outcome."""
+    scen = draw(multi_outcome_models()).scenario
+    meas = list(scen.measurements)
+    meas.insert(draw(st.integers(0, len(meas))), "E")
+    outcomes = {**scen.outcomes, "E": ("e", "f")}
+    single = draw(st.sampled_from(meas))
+    outcomes[single] = outcomes[single][:1]
+    return new_scenario(meas, [*scen.maximal_contexts, ["E"]], outcomes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lp_shapes(), st.data())
+def test_ncf_lp_columns_on_drawn_shapes(scen, data):
+    # every offset and index of the LP's numbering against the
+    # comprehension, and its pricing against a scan of the stored columns
+    rows = sum(len(sections(scen, ctx)) for ctx in scen.maximal_contexts)
+    bounds = tuple(data.draw(st.lists(
+        st.builds(F, st.integers(0, 3), st.integers(1, 3)),
+        min_size=rows, max_size=rows,
+    )))
+    lp = ProductLP(*_shape(scen), bounds)
+    dense = restrict_comprehension_rows(scen)
+    assert stored(lp) == LinearProgram.build([F(1)] * len(dense[0]), dense, bounds)
+    assert ratlp_solve(lp) == ratlp_solve(stored(lp))
 
 
 def test_ncf_lp_of_a_10_cycle_builds_no_section_per_assignment(monkeypatch):
