@@ -11,20 +11,16 @@ strongly contextual model every supported section is non-extendable, which
 would paint the whole diagram; to keep the picture readable only the last
 context (canonical order) is highlighted and a comment in the header
 records that every context violates.  The bundle is possibilistic: it
-classifies the Boolean shadow of the model, so a rational model never
-reaches the noncontextual-fraction LP here.  Rendering is left to external
-tooling (``dot -Tpng ...``).
+reads the model's ``frontier_walk`` over the supports of its tables, so
+a rational model never reaches the noncontextual-fraction LP here.
+Rendering is left to external tooling (``dot -Tpng ...``).
 """
 
 from __future__ import annotations
 
-from .contextuality import HierarchyLevel, classify
-from .empirical import (
-    EmpiricalModel,
-    possibilistic_collapse,
-    require_no_disturbance,
-    support,
-)
+from .contextuality import classify  # noqa: F401  (bench/tracer.py wraps this name)
+from .contextuality import frontier_walk
+from .empirical import EmpiricalModel, require_no_disturbance, support
 from .errors import UnquotableId
 
 
@@ -46,14 +42,14 @@ def bundle_dot(model: EmpiricalModel) -> str:
                 "quote, a backslash or a line break"
             )
     require_no_disturbance(model)
-    report = classify(possibilistic_collapse(model))
+    walk = frontier_walk(model)
     pair_contexts = [c for c in scen.maximal_contexts if len(c) == 2]
 
-    if report.level is HierarchyLevel.STRONGLY_CONTEXTUAL and pair_contexts:
+    if walk.strong and pair_contexts:
         highlighted_context = pair_contexts[-1]
         red = {
             (ctx, sec)
-            for ctx, sec in report.non_extendable
+            for ctx, sec in walk.non_extendable()
             if ctx == highlighted_context
         }
         note = (
@@ -61,7 +57,7 @@ def bundle_dot(model: EmpiricalModel) -> str:
             f"highlighting context {','.join(highlighted_context)} only"
         )
     else:
-        red = set(report.non_extendable)
+        red = set(walk.non_extendable())
         note = None
 
     lines = ["graph bundle {"]

@@ -26,6 +26,7 @@ from .errors import (
     NotASubcontext,
     UnknownContext,
     UnknownSection,
+    quote,
 )
 from .scenario import Context, MeasurementScenario, Section
 
@@ -111,9 +112,9 @@ def new_model(
             raw_ctx.split(",") if isinstance(raw_ctx, str) else raw_ctx
         )
         if ctx not in scenario.maximal_contexts:
-            raise UnknownContext(f"{ctx} is not a maximal context")
+            raise UnknownContext(f"{quote(ctx)} is not a maximal context")
         if ctx in resolved:
-            raise UnknownContext(f"context {ctx} given twice")
+            raise UnknownContext(f"context {quote(ctx)} given twice")
         space = sc.sections(scenario, ctx)
         table = {sec: Fraction(0) for sec in space}
         for key, value in cells.items():
@@ -123,17 +124,20 @@ def new_model(
                 parts = key.split(",") if isinstance(key, str) else tuple(key)
                 if len(parts) != len(ctx):
                     raise UnknownSection(
-                        f"cell {key!r} has {len(parts)} outcomes, "
-                        f"context {ctx} has {len(ctx)} measurements"
+                        f"cell {quote(key)} has {len(parts)} outcomes, "
+                        f"context {quote(ctx)} has {len(ctx)} measurements"
                     )
                 sec = Section(ctx, tuple(str(p) for p in parts))
             if sec not in table:
-                raise UnknownSection(f"{sec} is not a section of {ctx}")
+                raise UnknownSection(
+                    f"cell {quote(key)} is not a section of {quote(ctx)}"
+                )
             table[sec] = _check_value(semiring, value)
         resolved[ctx] = table
     missing = set(scenario.maximal_contexts) - set(resolved)
     if missing:
-        raise UnknownContext(f"no table for maximal contexts {sorted(missing)}")
+        keys = [",".join(ctx) for ctx in sorted(missing)]
+        raise UnknownContext(f"no table for maximal contexts {quote(keys)}")
     for ctx, table in resolved.items():
         total = _combine(semiring, table.values())
         if total != 1:

@@ -6,6 +6,17 @@ catch one base class at API boundaries (the CLI maps them to exit codes).
 
 from __future__ import annotations
 
+import reprlib
+
+# Every id, label, key or value from the input that an error message
+# quotes is written by this one bounded repr, so the message stays one
+# short line whatever the input holds.
+_repr = reprlib.Repr()
+_repr.maxlevel, _repr.maxlist, _repr.maxdict = 1, 3, 2
+_repr.maxstring = _repr.maxlong = 30
+_repr.maxother = 80  # an exception or any other object
+quote = _repr.repr
+
 
 class EpimodalError(Exception):
     """Base class for all library errors."""
@@ -30,7 +41,12 @@ class EmptyOutcomes(ScenarioError):
 
 
 class UnknownMeasurement(ScenarioError):
-    """A context mentions a measurement that is not declared."""
+    """A context mentions a measurement that is not declared, or a
+    measurement id is declared twice or cannot be written."""
+
+    def __init__(self, measurement, problem="unknown measurement"):
+        self.measurement = measurement
+        super().__init__(f"{problem} {quote(measurement)}")
 
 
 class UnknownContext(ScenarioError):
@@ -70,7 +86,7 @@ class NormalizationError(ModelError):
     def __init__(self, context, total):
         self.context = context
         self.total = total
-        super().__init__(f"table for context {context} sums to {total}, not 1")
+        super().__init__(f"table for context {quote(context)} sums to {total}, not 1")
 
 
 class NegativeValue(ModelError):
@@ -90,8 +106,8 @@ class DisturbingModel(ModelError):
 
     def __init__(self, report):
         self.report = report
-        bad = [c.intersection for c in report.checks if not c.equal]
-        super().__init__(f"model is disturbing on intersections {bad}")
+        bad = [",".join(c.intersection) for c in report.checks if not c.equal]
+        super().__init__(f"model is disturbing on intersections {quote(bad)}")
 
 
 # -- contextuality -----------------------------------------------------------
@@ -160,7 +176,7 @@ class FormulaSyntaxError(ModalError):
 class UnknownAgent(ModalError):
     def __init__(self, agent):
         self.agent = agent
-        super().__init__(f"unknown agent {agent!r}")
+        super().__init__(f"unknown agent {quote(agent)}")
 
 
 class BadAgentName(ModalError):
@@ -170,7 +186,7 @@ class BadAgentName(ModalError):
     def __init__(self, agent):
         self.agent = agent
         super().__init__(
-            f"agent name {agent!r} is not letters, digits and underscores"
+            f"agent name {quote(agent)} is not letters, digits and underscores"
         )
 
 

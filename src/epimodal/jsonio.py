@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import json
 import re
-import reprlib
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 
 from .contextuality import ContextualityReport
 from .empirical import EmpiricalModel, NoDisturbanceReport, Semiring, new_model
-from .errors import EpimodalError
+from .errors import EpimodalError, quote
 from .modal import MultiAgentScenario, TopoModel
 from .scenario import AssignmentKeys, MeasurementScenario, new_scenario
 
@@ -48,22 +47,13 @@ class ParseError(EpimodalError):
     pass
 
 
-# Every value or exception a ParseError quotes is written by this one
-# bounded repr, so its one error line stays short whatever the file holds.
-_repr = reprlib.Repr()
-_repr.maxlevel, _repr.maxlist, _repr.maxdict = 1, 3, 2
-_repr.maxstring = _repr.maxlong = 30
-_repr.maxother = 80  # an exception
-_quote = _repr.repr
-
-
 # The only cell form a file may hold: no floats, exponents, spaces or "_".
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _cell(value) -> Fraction:
     if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
-        raise ParseError(f"cell {_quote(value)} is not a rational string like \"1/3\"")
+        raise ParseError(f"cell {quote(value)} is not a rational string like \"1/3\"")
     return Fraction(value)
 
 
@@ -153,8 +143,8 @@ def scenario_to_obj(scenario: MeasurementScenario) -> dict:
 def _strings(value, what: str, key=None) -> list[str]:
     """``value``, a list of strings: ``what`` (of ``key``, if given) names it."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        name = what if key is None else f"{what} {_quote(key)}"
-        raise ParseError(f"{name} must be a list of strings, got {_quote(value)}")
+        name = what if key is None else f"{what} {quote(key)}"
+        raise ParseError(f"{name} must be a list of strings, got {quote(value)}")
     return value
 
 
@@ -162,7 +152,7 @@ def scenario_from_obj(obj) -> MeasurementScenario:
     try:
         contexts = obj["contexts"]
         if not isinstance(contexts, list):
-            raise ParseError(f"contexts must be a list, got {_quote(contexts)}")
+            raise ParseError(f"contexts must be a list, got {quote(contexts)}")
         return new_scenario(
             _strings(obj["measurements"], "measurements"),
             [_strings(c, "each context") for c in contexts],
@@ -172,7 +162,7 @@ def scenario_from_obj(obj) -> MeasurementScenario:
             },
         )
     except (AttributeError, KeyError, TypeError) as exc:
-        raise ParseError(f"bad scenario object: {_quote(exc)}") from exc
+        raise ParseError(f"bad scenario object: {quote(exc)}") from exc
 
 
 # -- empirical models ---------------------------------------------------------
@@ -205,7 +195,7 @@ def model_from_obj(obj) -> EmpiricalModel:
     except (
         AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError
     ) as exc:
-        raise ParseError(f"bad model object: {_quote(exc)}") from exc
+        raise ParseError(f"bad model object: {quote(exc)}") from exc
     return new_model(scenario, semiring, tables)
 
 
@@ -248,7 +238,7 @@ def topomodel_to_obj(model: TopoModel) -> dict:
 def _pairs(value, agent: str) -> list[tuple[str, ...]]:
     if not isinstance(value, list):
         raise ParseError(
-            f"relation of {_quote(agent)} must be a list of pairs, got {_quote(value)}"
+            f"relation of {quote(agent)} must be a list of pairs, got {quote(value)}"
         )
     return [tuple(_strings(p, "each pair of", agent)) for p in value]
 
@@ -266,7 +256,7 @@ def topomodel_from_obj(obj, require_s4: bool = True) -> TopoModel:
             require_s4=require_s4,
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad topomodel object: {_quote(exc)}") from exc
+        raise ParseError(f"bad topomodel object: {quote(exc)}") from exc
 
 
 def topomodel_from_json(text: str, require_s4: bool = True) -> TopoModel:

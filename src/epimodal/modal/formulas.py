@@ -12,7 +12,10 @@ the connectives):
 to ``!K{i}!p`` at parse time, so the AST only carries Var, Not, And, Or,
 Implies, Iff, K, E and D nodes.  Nesting deeper than ``MAX_DEPTH`` levels
 is a syntax error.  Printing emits minimal parentheses and
-round-trips: parse(print(f)) == f for every normalized AST.
+round-trips: parse(print(f)) == f for every normalized AST.  The table
+``_BINARY`` is the one place where the binary operators' precedence,
+associativity and printed symbols are declared; the parser and the
+printer both read it.
 """
 
 from __future__ import annotations
@@ -24,14 +27,7 @@ from ..errors import EmptyAgentSet, FormulaSyntaxError
 
 
 class Formula:
-    """Base class for AST nodes; subclasses are frozen dataclasses.
-
-    The generated dataclass hash covers the fields only, so nodes of two
-    classes with the same field types would share it: And(p, q), Or(p, q),
-    Implies(p, q) and Iff(p, q), and E and D over one group and operand.
-    Those classes hash their class with their fields, so that a set of
-    enumerated formulas does not compare long chains of colliding nodes.
-    """
+    """Base class for AST nodes; subclasses are frozen dataclasses."""
 
     __slots__ = ()
 
@@ -47,39 +43,37 @@ class Not(Formula):
 
 
 @dataclass(frozen=True)
-class And(Formula):
+class _Binary(Formula):
+    """A binary connective: And, Or, Implies and Iff subclass it bare.
+
+    A generated dataclass hash covers the fields only, so And(p, q),
+    Or(p, q), Implies(p, q) and Iff(p, q) would share it.  The class is
+    hashed with the fields, so that a set of enumerated formulas does not
+    compare long chains of colliding nodes; a ``@dataclass`` on a subclass
+    would generate the fields-only hash again.
+    """
+
     left: Formula
     right: Formula
 
     def __hash__(self):
-        return hash((And, self.left, self.right))
+        return hash((type(self), self.left, self.right))
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-    def __hash__(self):
-        return hash((Or, self.left, self.right))
+class And(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
-
-    def __hash__(self):
-        return hash((Implies, self.left, self.right))
+class Or(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Implies(_Binary):
+    pass
 
-    def __hash__(self):
-        return hash((Iff, self.left, self.right))
+
+class Iff(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
@@ -89,35 +83,43 @@ class K(Formula):
 
 
 @dataclass(frozen=True)
-class E(Formula):
+class _Group(Formula):
+    """A modality over a nonempty group of agents; E (mutual) and D
+    (distributed knowledge) are bare subclasses, hashed with their class
+    as ``_Binary`` is."""
+
     agents: frozenset[str]
     operand: Formula
 
     def __hash__(self):
-        return hash((E, self.agents, self.operand))
+        return hash((type(self), self.agents, self.operand))
 
     def __post_init__(self):
         if not self.agents:
-            raise EmptyAgentSet("E needs at least one agent")
+            raise EmptyAgentSet(f"{type(self).__name__} needs at least one agent")
 
 
-@dataclass(frozen=True)
-class D(Formula):
-    agents: frozenset[str]
-    operand: Formula
+class E(_Group):
+    pass
 
-    def __hash__(self):
-        return hash((D, self.agents, self.operand))
 
-    def __post_init__(self):
-        if not self.agents:
-            raise EmptyAgentSet("D needs at least one agent")
+class D(_Group):
+    pass
 
 
 def diamond(agent: str, operand: Formula) -> Formula:
     """dia{i} p as its structural normal form !K{i}!p."""
     return Not(K(agent, Not(operand)))
 
+
+# The binary operators, loosest first: token kind, node class, whether it
+# associates to the right, and printed symbol.
+_BINARY = (
+    ("iff", Iff, True, "<->"),
+    ("implies", Implies, True, "->"),
+    ("or", Or, False, "|"),
+    ("and", And, False, "&"),
+)
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<lparen>\()|(?P<rparen>\))|(?P<iff><->)|(?P<implies>->)"
@@ -187,51 +189,29 @@ class _Parser:
             )
 
     def parse(self) -> Formula:
-        formula = self.iff()
+        formula = self.binary(0)
         kind, value, pos = self.peek()
         if kind != "end":
             raise FormulaSyntaxError(f"unexpected {value!r}", pos)
         return formula
 
-    def iff(self) -> Formula:
-        left = self.implies()
-        if self.peek()[0] == "iff":
-            self.enter(self.take()[2])
-            right = self.iff()
-            self.depth -= 1
-            return Iff(left, right)
-        return left
-
-    def implies(self) -> Formula:
-        left = self.or_()
-        if self.peek()[0] == "implies":
-            self.enter(self.take()[2])
-            right = self.implies()
-            self.depth -= 1
-            return Implies(left, right)
-        return left
-
-    def or_(self) -> Formula:
-        left = self.and_()
+    def binary(self, level: int) -> Formula:
+        """A chain of ``_BINARY[level]``'s operator over operands of the
+        next tighter level.  A right-associative operator takes the rest
+        of the chain as its right operand, at its own level."""
+        kind, node, right, _ = _BINARY[level]
+        tighter = self.binary if level + 1 < len(_BINARY) else self.unary
+        left = tighter(level + 1)
         links = 0
-        while self.peek()[0] == "or":
+        while self.peek()[0] == kind:
             self.enter(self.take()[2])
             links += 1
-            left = Or(left, self.and_())
+            left = node(left, self.binary(level) if right else tighter(level + 1))
         self.depth -= links
         return left
 
-    def and_(self) -> Formula:
-        left = self.unary()
-        links = 0
-        while self.peek()[0] == "and":
-            self.enter(self.take()[2])
-            links += 1
-            left = And(left, self.unary())
-        self.depth -= links
-        return left
-
-    def unary(self) -> Formula:
+    def unary(self, level: int = len(_BINARY)) -> Formula:
+        """A negation, a modality or an atom: the level past ``_BINARY``."""
         kind, value, pos = self.peek()
         if kind == "not":
             self.take()
@@ -246,18 +226,13 @@ class _Parser:
             self.enter(pos, levels)
             operand = self.unary()
             self.depth -= levels
-            if head in ("K", "box"):
-                if len(agents) != 1:
-                    raise FormulaSyntaxError(
-                        f"{head} takes exactly one agent", pos
-                    )
-                return K(agents[0], operand)
+            if head in ("E", "D"):
+                return (E if head == "E" else D)(frozenset(agents), operand)
+            if len(agents) != 1:
+                raise FormulaSyntaxError(f"{head} takes exactly one agent", pos)
             if head == "dia":
-                if len(agents) != 1:
-                    raise FormulaSyntaxError("dia takes exactly one agent", pos)
                 return diamond(agents[0], operand)
-            node = E if head == "E" else D
-            return node(frozenset(agents), operand)
+            return K(agents[0], operand)
         return self.atom()
 
     def atom(self) -> Formula:
@@ -266,7 +241,7 @@ class _Parser:
             return Var(value)
         if kind == "lparen":
             self.enter(pos)
-            inner = self.iff()
+            inner = self.binary(0)
             self.depth -= 1
             kind, value, pos = self.take()
             if kind != "rparen":
@@ -283,32 +258,32 @@ def parse(text: str) -> Formula:
     return _Parser(text).parse()
 
 
-_LEVEL = {Iff: 1, Implies: 2, Or: 3, And: 4}
+# Printing levels: 0 outside everything, then one per row of ``_BINARY``
+# loosest first, and the unary operators' operands tightest of all.
+_PRINTED = {
+    node: (own, right, symbol)
+    for own, (_, node, right, symbol) in enumerate(_BINARY, 1)
+}
+_UNARY = len(_BINARY) + 1
 
 
 def to_text(formula: Formula) -> str:
     """Print with minimal parentheses; inverse of :func:`parse`."""
 
-    def agents(group: frozenset[str]) -> str:
-        return ",".join(sorted(group))
-
     def go(node: Formula, level: int) -> str:
         if isinstance(node, Var):
             return node.name
         if isinstance(node, Not):
-            return "!" + go(node.operand, 5)
+            return "!" + go(node.operand, _UNARY)
         if isinstance(node, K):
-            return f"K{{{node.agent}}} " + go(node.operand, 5)
-        if isinstance(node, E):
-            return f"E{{{agents(node.agents)}}} " + go(node.operand, 5)
-        if isinstance(node, D):
-            return f"D{{{agents(node.agents)}}} " + go(node.operand, 5)
-        own = _LEVEL[type(node)]
-        symbol = {Iff: "<->", Implies: "->", Or: "|", And: "&"}[type(node)]
-        if isinstance(node, (Iff, Implies)):  # right associative
-            text = f"{go(node.left, own + 1)} {symbol} {go(node.right, own)}"
-        else:  # left associative
-            text = f"{go(node.left, own)} {symbol} {go(node.right, own + 1)}"
+            return f"K{{{node.agent}}} " + go(node.operand, _UNARY)
+        if isinstance(node, _Group):
+            group = ",".join(sorted(node.agents))
+            return f"{type(node).__name__}{{{group}}} " + go(node.operand, _UNARY)
+        own, right, symbol = _PRINTED[type(node)]
+        # only the operand on the side it associates to may share its level
+        at_left, at_right = (own + 1, own) if right else (own, own + 1)
+        text = f"{go(node.left, at_left)} {symbol} {go(node.right, at_right)}"
         return f"({text})" if own < level else text
 
     return go(formula, 0)

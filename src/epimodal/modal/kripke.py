@@ -45,6 +45,7 @@ from ..errors import (
     NotS4,
     UnknownAgent,
     UnknownVariable,
+    quote,
 )
 from .formulas import _AGENT, And, D, E, Formula, Iff, Implies, K, Not, Or, Var
 
@@ -195,7 +196,7 @@ class TopoModel:
         }
         for p, where in val.items():
             if not where <= set(ws):
-                raise UnknownVariable(f"valuation of {p} mentions unknown world")
+                raise UnknownVariable(f"valuation of {quote(p)} mentions unknown world")
         return cls(ws, ags, rel, val)
 
     def _group(self, agents: Iterable[str], mode: str) -> _Relation:

@@ -38,6 +38,7 @@ from .errors import (
     NotASubcontext,
     UnknownContext,
     UnknownMeasurement,
+    quote,
 )
 
 Context = tuple[str, ...]
@@ -178,24 +179,26 @@ def new_scenario(
     meas = tuple(measurements)
     if not meas:
         raise CoverageError("no measurements")
-    if len(set(meas)) != len(meas):
-        raise UnknownMeasurement("duplicate measurement identifiers")
+    seen = set()
     for m in meas:
+        if m in seen:
+            raise UnknownMeasurement(m, "duplicate measurement identifier")
         if "," in m or not m:
-            raise UnknownMeasurement(f"invalid measurement identifier {m!r}")
+            raise UnknownMeasurement(m, "invalid measurement identifier")
+        seen.add(m)
     out = {}
     for m in meas:
         if m not in outcomes or not tuple(outcomes[m]):
-            raise EmptyOutcomes(m)
+            raise EmptyOutcomes(f"no outcomes for {quote(m)}")
         olist = tuple(str(o) for o in outcomes[m])
         if len(set(olist)) != len(olist):
-            raise EmptyOutcomes(f"duplicate outcomes for {m}")
+            raise EmptyOutcomes(f"duplicate outcomes for {quote(m)}")
         if any("," in o or not o for o in olist):
-            raise EmptyOutcomes(f"invalid outcome label for {m}")
+            raise EmptyOutcomes(f"invalid outcome label for {quote(m)}")
         out[m] = olist
     for m in outcomes:
         if m not in out:
-            raise UnknownMeasurement(f"outcomes given for unknown {m!r}")
+            raise UnknownMeasurement(m, "outcomes given for unknown")
 
     order = {m: i for i, m in enumerate(meas)}
     canon = set()
@@ -212,10 +215,12 @@ def new_scenario(
     for a in canon:
         for b in canon:
             if a != b and set(a) <= set(b):
-                raise DominatedContext(f"{a} is contained in {b}")
+                raise DominatedContext(f"{quote(a)} is contained in {quote(b)}")
     covered = set().union(*map(set, canon))
     if covered != set(meas):
-        raise CoverageError(f"contexts cover {sorted(covered)}, not all measurements")
+        raise CoverageError(
+            f"contexts cover {quote(sorted(covered))}, not all measurements"
+        )
 
     ordered = tuple(sorted(canon, key=lambda c: tuple(order[m] for m in c)))
     return MeasurementScenario(meas, ordered, out)

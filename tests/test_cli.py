@@ -7,9 +7,13 @@ import pytest
 
 import epimodal.cli
 import epimodal.contextuality
+import epimodal.dot
+import epimodal.empirical
 import epimodal.ratlp
 import epimodal.scenario
-from epimodal import Semiring, new_model, new_scenario, possibilistic_collapse
+from epimodal import (
+    Semiring, build_fr_model, new_model, new_scenario, possibilistic_collapse,
+)
 from epimodal.cli import analysis_report, main
 from epimodal.contextuality import cycle_order
 from epimodal.dot import bundle_dot
@@ -278,6 +282,55 @@ def test_parse_errors_quote_a_bounded_value(tmp_path, capsys, argv):
         assert len(err.encode()) <= 300, err
 
 
+HUGE_ID = "Z" * 500_000
+
+
+def _disturbing_model(m):
+    """Two contexts that disagree on the marginal of ``m``."""
+    return {
+        "scenario": {
+            "measurements": ["A", m, "B"],
+            "contexts": [["A", m], [m, "B"]],
+            "outcomes": {"A": ["0"], m: ["0", "1"], "B": ["0"]},
+        },
+        "semiring": "boolean",
+        "tables": {f"A,{m}": {"0,0": "1"}, f"{m},B": {"1,0": "1"}},
+    }
+
+
+# files that read as JSON but name a huge id that a later check refuses:
+# the command, the file and the exit code
+HUGE_ID_CASES = {
+    "unknown measurement in a context": (["analyze"], _model_with(
+        lambda o: o["scenario"]["contexts"].__setitem__(0, ["A", HUGE_ID])
+    ), 2),
+    "measurement id holding a comma": (["analyze"], _model_with(
+        lambda o: o["scenario"]["measurements"].append(HUGE_ID + ",")
+    ), 2),
+    "unknown cell key": (["analyze"], _model_with(
+        lambda o: o["tables"]["A,B"].update({"0," + HUGE_ID: "0"})
+    ), 2),
+    "unknown context key": (
+        ["analyze"], _model_with(lambda o: o["tables"].update({HUGE_ID: {}})), 2
+    ),
+    "disturbing model": (["bundle"], _disturbing_model(HUGE_ID), 3),
+    "valuation naming an unknown world": (
+        ["modal", "truth"], _frame_with("valuation", {"p" * 500_000: ["x"]}), 2
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_ID_CASES))
+def test_errors_quote_a_bounded_id(tmp_path, capsys, name):
+    argv, obj, code = HUGE_ID_CASES[name]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    assert main([*argv, str(path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) <= 300, err
+
+
 @pytest.mark.parametrize("argv", FILE_COMMANDS)
 def test_an_int_too_long_to_read_exit_2(tmp_path, capsys, argv):
     # past the interpreter's digit limit (3.11+), the decoder raises a
@@ -441,6 +494,54 @@ def test_analyze_runs_each_stage_once(fr_model, monkeypatch):
         "global_section_space": 0,
         "collapse_rational": 0,
         "translate": 1,
+    }
+
+
+def test_bundle_runs_each_stage_once(monkeypatch):
+    # a model of its own: the session's FR model may have compared its
+    # marginals already
+    model = build_fr_model()
+    calls = {
+        "frontier_walk": 0,
+        "global_sections": 0,
+        "collapse_rational": 0,
+        "compare_marginals": 0,
+    }
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def collapse(model):
+        calls["collapse_rational"] += model.semiring is Semiring.RATIONAL
+        return possibilistic_collapse(model)
+
+    monkeypatch.setattr(
+        epimodal.dot, "frontier_walk",
+        counting("frontier_walk", epimodal.contextuality.frontier_walk),
+    )
+    monkeypatch.setattr(
+        epimodal.contextuality, "global_sections",
+        counting("global_sections", epimodal.contextuality.global_sections),
+    )
+    monkeypatch.setattr(
+        epimodal.empirical, "_compare_marginals",
+        counting("compare_marginals", epimodal.empirical._compare_marginals),
+    )
+    # a collapse is counted wherever it would be looked up
+    for module in (epimodal.empirical, epimodal.contextuality, epimodal.dot):
+        monkeypatch.setattr(module, "possibilistic_collapse", collapse, raising=False)
+    assert bundle_dot(model) == (GOLDEN / "fr_bundle.dot").read_text()
+    # the diagram reads one walk of the model's own supports: no Boolean
+    # copy, so the marginals are compared once, and no global section is
+    # listed
+    assert calls == {
+        "frontier_walk": 1,
+        "global_sections": 0,
+        "collapse_rational": 0,
+        "compare_marginals": 1,
     }
 
 

@@ -69,6 +69,7 @@ def test_new_model_normalization_error():
     with pytest.raises(NormalizationError) as info:
         new_model(four_cycle_scenario(), Semiring.RATIONAL, rows)
     assert info.value.total == F(7, 6)
+    assert str(info.value) == "table for context ('A', 'B') sums to 7/6, not 1"
 
 
 def test_new_model_other_errors():
@@ -79,11 +80,15 @@ def test_new_model_other_errors():
         new_model(scen, Semiring.RATIONAL, rows)
     rows = table_one_rows()
     rows[("A", "B")]["0,2"] = F(1, 3)
-    with pytest.raises(UnknownSection):
+    with pytest.raises(
+        UnknownSection, match=r"^cell '0,2' is not a section of \('A', 'B'\)$"
+    ):
         new_model(scen, Semiring.RATIONAL, rows)
     rows = table_one_rows()
     del rows[("A", "B")]
-    with pytest.raises(UnknownContext):
+    with pytest.raises(
+        UnknownContext, match=r"^no table for maximal contexts \['A,B'\]$"
+    ):
         new_model(scen, Semiring.RATIONAL, rows)
     with pytest.raises(NegativeValue):
         new_model(scen, Semiring.BOOLEAN, {c: {"0,0": 2} for c in table_one_rows()})

@@ -59,10 +59,36 @@ def test_precedence():
     assert parse("!K{a} p") == Not(K("a", Var("p")))
 
 
+@pytest.mark.parametrize("symbol", ["&", "|", "->", "<->"])
+def test_operator_errors(symbol):
+    at = len(symbol) + 3
+    for text, message, position in [
+        (f"p {symbol}", "unexpected end", at - 1),
+        (f"p {symbol} {symbol} q", f"expected a formula, found {symbol!r}", at),
+        (f"{symbol} p", f"expected a formula, found {symbol!r}", 0),
+    ]:
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse(text)
+        assert str(info.value) == f"{message} (at position {position})"
+        assert info.value.position == position
+
+
+def test_node_classes_tell_apart():
+    p, q = Var("p"), Var("q")
+    group = frozenset("ab")
+    for nodes in [
+        [And(p, q), Or(p, q), Implies(p, q), Iff(p, q)],
+        [E(group, p), D(group, p)],
+    ]:
+        assert len(set(nodes)) == len(nodes)
+        assert len({hash(node) for node in nodes}) == len(nodes)
+        assert all(a != b for a in nodes for b in nodes if a is not b)
+
+
 def test_empty_agent_set_rejected_at_construction():
-    with pytest.raises(EmptyAgentSet):
+    with pytest.raises(EmptyAgentSet, match="^E needs at least one agent$"):
         E(frozenset(), Var("p"))
-    with pytest.raises(EmptyAgentSet):
+    with pytest.raises(EmptyAgentSet, match="^D needs at least one agent$"):
         D(frozenset(), Var("p"))
 
 
@@ -97,7 +123,9 @@ def test_parse_print_round_trip(formula):
 NESTED = {
     "not": lambda k: "!" * k + "p",
     "paren": lambda k: "(" * k + "p" + ")" * k,
+    "iff": lambda k: " <-> ".join(["p"] * (k + 1)),
     "implies": lambda k: " -> ".join(["p"] * (k + 1)),
+    "or": lambda k: " | ".join(["p"] * (k + 1)),
     "and": lambda k: " & ".join(["p"] * (k + 1)),
     "modal": lambda k: "D{a,b} " * k + "p",
 }

@@ -20,6 +20,7 @@ from epimodal.errors import (
     IncompatibleFamily,
     IncompleteCover,
     NotASubcontext,
+    ScenarioError,
     UnknownContext,
     UnknownMeasurement,
 )
@@ -63,6 +64,22 @@ def test_new_scenario_errors():
         new_scenario(["A"], [{"A", "Z"}], {"A": ["0"]})
     with pytest.raises(UnknownMeasurement):
         new_scenario(["A", "A"], [{"A"}], {"A": ["0"]})
+
+
+@pytest.mark.parametrize("measurements,contexts,outcomes,message", [
+    (["A", "A"], [{"A"}], {"A": ["0"]}, "duplicate measurement identifier 'A'"),
+    (["A,B"], [{"A,B"}], {"A,B": ["0"]}, "invalid measurement identifier 'A,B'"),
+    (["A"], [{"A", "Z"}], {"A": ["0"]}, "unknown measurement 'Z'"),
+    (["A"], [{"A"}], {"A": ["0"], "Z": ["0"]}, "outcomes given for unknown 'Z'"),
+    (["A"], [{"A"}], {"A": []}, "no outcomes for 'A'"),
+    (["A"], [{"A"}], {"A": ["0", "0"]}, "duplicate outcomes for 'A'"),
+    (["A", "B"], [{"A"}], {"A": ["0"], "B": ["0"]},
+     "contexts cover ['A'], not all measurements"),
+])
+def test_new_scenario_error_texts(measurements, contexts, outcomes, message):
+    with pytest.raises(ScenarioError) as info:
+        new_scenario(measurements, contexts, outcomes)
+    assert str(info.value) == message
 
 
 def test_duplicate_contexts_merged():
