@@ -17,6 +17,7 @@ there is no randomness anywhere in the pipeline.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -260,20 +261,12 @@ def _cmd_modal(args) -> int:
             schema.name: {
                 "valid": schema.valid,
                 "instances": schema.instances,
-                "counterexamples": [list(c) for c in schema.counterexamples],
+                "counterexamples": schema.counterexamples,
             }
             for schema in (report.distribution, report.truth, report.introspection)
         }
     else:  # truth
-        report = fundamental_truth_check(model)
-        payload = {
-            "vacuity_holds": report.vacuity_holds,
-            "pairs_checked": report.pairs_checked,
-            "distributed_truth_holds": report.distributed_truth_holds,
-            "distributed_is_identity": report.distributed_is_identity,
-            "identity_equivalence_holds": report.identity_equivalence_holds,
-            "failures": list(report.failures),
-        }
+        payload = dataclasses.asdict(fundamental_truth_check(model))
     _emit(jsonio.dumps(payload), args.out)
     return 0
 

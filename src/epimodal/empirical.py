@@ -39,9 +39,9 @@ class Semiring(enum.Enum):
 def _check_value(semiring: Semiring, value) -> Fraction:
     v = Fraction(value)
     if semiring is Semiring.BOOLEAN and v not in (0, 1):
-        raise NegativeValue(f"boolean cell must be 0 or 1, got {v}")
+        raise NegativeValue(f"boolean cell must be 0 or 1, got {quote(v)}")
     if v < 0:
-        raise NegativeValue(f"negative cell value {v}")
+        raise NegativeValue(f"negative cell value {quote(v)}")
     return v
 
 

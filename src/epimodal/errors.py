@@ -6,12 +6,37 @@ catch one base class at API boundaries (the CLI maps them to exit codes).
 
 from __future__ import annotations
 
+import math
 import reprlib
+
+
+class _Repr(reprlib.Repr):
+    """reprlib's bounded repr, which writes a number without making a
+    decimal longer than the message may hold."""
+
+    def repr_int(self, x, level):
+        # reprlib would make the whole decimal and cut it to maxlong
+        # characters, and Python makes none past 4300 digits: a longer
+        # int is written as its digit count, read off its bit length.
+        if abs(x) < 10**self.maxlong:
+            return super().repr_int(x, level)
+        digits = int(x.bit_length() * math.log10(2)) + 1  # or one too many
+        if abs(x) < 10 ** (digits - 1):
+            digits -= 1
+        return f"<int of {digits} digits>"
+
+    def repr_Fraction(self, x, level):
+        """As ``str`` writes it (``5/6``, or ``2`` for a whole number)."""
+        text = self.repr_int(x.numerator, level)
+        if x.denominator == 1:
+            return text
+        return f"{text}/{self.repr_int(x.denominator, level)}"
+
 
 # Every id, label, key or value from the input that an error message
 # quotes is written by this one bounded repr, so the message stays one
 # short line whatever the input holds.
-_repr = reprlib.Repr()
+_repr = _Repr()
 _repr.maxlevel, _repr.maxlist, _repr.maxdict = 1, 3, 2
 _repr.maxstring = _repr.maxlong = 30
 _repr.maxother = 80  # an exception or any other object
@@ -86,7 +111,9 @@ class NormalizationError(ModelError):
     def __init__(self, context, total):
         self.context = context
         self.total = total
-        super().__init__(f"table for context {quote(context)} sums to {total}, not 1")
+        super().__init__(
+            f"table for context {quote(context)} sums to {quote(total)}, not 1"
+        )
 
 
 class NegativeValue(ModelError):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ..errors import EmptyAgentSet, FormulaSyntaxError
+from ..errors import EmptyAgentSet, FormulaSyntaxError, quote
 
 
 class Formula:
@@ -155,7 +155,7 @@ def _modal_parts(token: str, position: int) -> tuple[str, tuple[str, ...]]:
     body = rest[:-1]
     agents = tuple(a.strip() for a in body.split(","))
     if not body.strip() or any(not _AGENT.match(a) for a in agents):
-        raise FormulaSyntaxError(f"bad agent list in {token!r}", position)
+        raise FormulaSyntaxError(f"bad agent list in {quote(token)}", position)
     return head, agents
 
 
@@ -192,7 +192,7 @@ class _Parser:
         formula = self.binary(0)
         kind, value, pos = self.peek()
         if kind != "end":
-            raise FormulaSyntaxError(f"unexpected {value!r}", pos)
+            raise FormulaSyntaxError(f"unexpected {quote(value)}", pos)
         return formula
 
     def binary(self, level: int) -> Formula:
@@ -248,7 +248,7 @@ class _Parser:
                 raise FormulaSyntaxError("expected ')'", pos)
             return inner
         raise FormulaSyntaxError(
-            f"expected a formula, found {value!r}" if value else "unexpected end",
+            f"expected a formula, found {quote(value)}" if value else "unexpected end",
             pos,
         )
 

@@ -21,12 +21,13 @@ relation is stored only as each world's successor bitmask: an agent's are
 ORed in one pass over its pairs, a group's are the ``|`` or ``&`` of its
 members' on first use.  Each relation memoises its knowledge image
 {w : R(w) inside T} per target mask T (``knows``) and its image R(S) per
-source mask S (``post``).  The oracles (``eval_topological`` and the
-brute-force trust checks) share none of this: they read the successor map
-that ``group_successors`` builds from the pairs of ``relations``.  The
-caches are safe because a TopoModel is never changed after construction:
-its fields are frozen and nothing writes to its relations or valuation, so
-a derived value stays valid for the life of the model.
+source mask S (``post``).  The oracles share none of this:
+``eval_topological`` intersects the members' pairs of ``relations``
+itself, and the brute-force trust checks read the successor map that
+``group_successors`` builds from those pairs.  The caches are safe
+because a TopoModel is never changed after construction: its fields are
+frozen and nothing writes to its relations or valuation, so a derived
+value stays valid for the life of the model.
 """
 
 from __future__ import annotations
@@ -236,7 +237,7 @@ def eval_mask(model: TopoModel, formula: Formula) -> int:
             try:
                 return masks[node.name]
             except KeyError:
-                raise UnknownVariable(f"unknown proposition {node.name!r}") from None
+                raise UnknownVariable(f"unknown proposition {quote(node.name)}") from None
         if isinstance(node, Not):
             return full ^ go(node.operand)
         if isinstance(node, And):
@@ -338,24 +339,23 @@ def eval_topological(model: TopoModel, formula: Formula) -> Worlds:
     transitive and induces no topology of its own.
     """
     universe = frozenset(model.worlds)
-    cache: dict[tuple[str, ...], Topology] = {}
+    cache: dict[frozenset[str], Topology] = {}
 
     def topo_for(agents: frozenset[str]) -> Topology:
-        key = tuple(sorted(agents))
-        if key not in cache:
-            succ = model.group_successors(agents, "D")
-            relation = frozenset(
-                (w, v) for w in model.worlds for v in succ[w]
-            )
-            cache[key] = topology_of(model.worlds, relation)
-        return cache[key]
+        """The topology of the intersection of the members' input pairs,
+        read from ``relations`` and never from the bitmasks."""
+        group, _ = _group_key(agents, "D")  # EmptyAgentSet for an empty group
+        if group not in cache:
+            pairs = [_member(model.relations, a) for a in sorted(group)]
+            cache[group] = topology_of(model.worlds, frozenset.intersection(*pairs))
+        return cache[group]
 
     def go(node: Formula) -> Worlds:
         if isinstance(node, Var):
             try:
                 return model.valuation[node.name]
             except KeyError:
-                raise UnknownVariable(f"unknown proposition {node.name!r}") from None
+                raise UnknownVariable(f"unknown proposition {quote(node.name)}") from None
         if isinstance(node, Not):
             return universe - go(node.operand)
         if isinstance(node, And):

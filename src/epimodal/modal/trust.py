@@ -17,13 +17,18 @@ renders trust vacuous, and that vacuity is exactly what
 ``fundamental_truth_check`` verifies.
 
 Everything is decided on the world bitmasks of ``kripke``.  Trust tests
-``s & ~T.post(s)`` for each successor mask s of the truster.  The axiom
-schemata evaluate each pool formula to a mask once and decide every
-instance by combining those masks with the agent relation's memoised
-``knows``; the instance formula is built only to print a counterexample.
-A formula pool holds at most ``MAX_POOL`` formulas.  The brute-force
-oracles read the successor maps that ``TopoModel.group_successors`` builds
-from the input pairs, never the bitmasks.
+``s & ~T.post(s)`` for each successor mask s of the truster.  Each axiom
+schema is one row of the table ``_SCHEMATA``: its name, whether it takes a
+second formula, the rule that gives an instance's holds-mask from the
+agent relation's memoised ``knows`` and the operand masks, and the
+instance formula, built only to print a counterexample.  ``check_axioms``
+evaluates each pool formula to a mask once and reads every row in one
+loop.  ``fundamental_truth_check`` decides every (truster, trusted,
+flavor) triple through ``check_trust``, and its ``vacuity_holds`` is
+whether none of them failed.  A formula pool holds at most ``MAX_POOL``
+formulas.  The brute-force oracles read the successor maps that
+``TopoModel.group_successors`` builds from the input pairs, never the
+bitmasks.
 """
 
 from __future__ import annotations
@@ -172,10 +177,8 @@ def _next_level(
             yield E(group, f)
             yield D(group, f)
     for f, g in itertools.product(current, repeat=2):
-        yield And(f, g)
-        yield Or(f, g)
-        yield Implies(f, g)
-        yield Iff(f, g)
+        for connective in (And, Or, Implies, Iff):
+            yield connective(f, g)
 
 
 def enumerate_formulas(
@@ -223,6 +226,29 @@ def enumerate_formulas(
     return pool if limit is None else pool[:limit]
 
 
+# One row per schema: its name, whether it takes a second formula, the
+# mask of the worlds where an instance holds (from the agent relation's
+# ``knows`` k, the full mask and the operand masks P and Q), and the
+# instance formula, built only to print a counterexample.
+_SCHEMATA = (
+    (
+        "K", True,
+        lambda k, full, p, q: (full ^ k((full ^ p) | q)) | (full ^ k(p)) | k(q),
+        lambda a, p, q: Implies(K(a, Implies(p, q)), Implies(K(a, p), K(a, q))),
+    ),
+    (
+        "T", False,
+        lambda k, full, p, q: (full ^ k(p)) | p,
+        lambda a, p, q: Implies(K(a, p), p),
+    ),
+    (
+        "4", False,
+        lambda k, full, p, q: (full ^ (known := k(p))) | k(known),
+        lambda a, p, q: Implies(K(a, p), K(a, K(a, p))),
+    ),
+)
+
+
 def check_axioms(
     model: TopoModel,
     variables: Sequence[str],
@@ -236,73 +262,42 @@ def check_axioms(
     4:  K{i}p -> K{i}K{i}p                  (needs transitivity)
 
     Instances range over all agents and all formulas enumerated to ``depth``
-    from ``variables`` (``limit`` caps the enumeration).  An instance is
-    valid when it holds at every world; a counterexample names the
-    instance and the least world name where it fails.
+    from ``variables`` (``limit`` caps the enumeration); K pairs each of
+    the first four formulas with every formula.  An instance is valid when
+    it holds at every world; a counterexample names the instance and the
+    least world name where it fails.
 
     Each pool formula is evaluated to a mask once, and an instance is
-    decided on masks: K is !k(!P | Q) | !k(P) | k(Q), T is !k(P) | P and
-    4 is !k(P) | k(k(P)), with k the agent relation's ``knows``.  The
-    first K instances pair the first formula with every other, so they
-    read the whole pool in order: evaluating it in order up front raises
-    the error the first instance to meet an unknown proposition would.
+    decided on masks by its row of ``_SCHEMATA``.  The first K instances
+    pair the first formula with every other, so they read the whole pool
+    in order: evaluating it in order up front raises the error the first
+    instance to meet an unknown proposition would.
     """
     pool = enumerate_formulas(variables, model.agents, depth, limit)
     if not model.agents:  # no instances, so no formula is evaluated
         pool = []
     entries = [(f, eval_mask(model, f)) for f in pool]
-    relations = [(agent, model._by_agent[agent]) for agent in model.agents]
+    relations = [(agent, model._by_agent[agent].knows) for agent in model.agents]
     full = (1 << len(model.worlds)) - 1
-
-    def run(name, decided, instance) -> SchemaReport:
+    reports = []
+    for name, binary, holds, instance in _SCHEMATA:
+        firsts, seconds = (entries[:4], entries) if binary else (entries, [(None, 0)])
         bad = []
-        failed = count = 0
-        for holds, agent, p, q in decided:
-            count += 1
-            if holds != full:
-                failed += 1
-                if len(bad) < 5:
-                    witness = min(
-                        w for i, w in enumerate(model.worlds)
-                        if not holds >> i & 1
-                    )
-                    bad.append((to_text(instance(agent, p, q)), witness))
-        return SchemaReport(name, not failed, count, tuple(bad))
-
-    def k_decided():
-        pairs = itertools.islice(
-            itertools.product(entries, repeat=2), len(entries) * 4
-        )
-        for (p, p_mask), (q, q_mask) in pairs:
-            for agent, r in relations:
-                holds = (
-                    (full ^ r.knows((full ^ p_mask) | q_mask))
-                    | (full ^ r.knows(p_mask))
-                    | r.knows(q_mask)
-                )
-                yield holds, agent, p, q
-
-    def t_decided():
-        for p, p_mask in entries:
-            for agent, r in relations:
-                yield (full ^ r.knows(p_mask)) | p_mask, agent, p, None
-
-    def four_decided():
-        for p, p_mask in entries:
-            for agent, r in relations:
-                known = r.knows(p_mask)
-                yield (full ^ known) | r.knows(known), agent, p, None
-
-    return AxiomReport(
-        distribution=run(
-            "K", k_decided(),
-            lambda a, p, q: Implies(K(a, Implies(p, q)), Implies(K(a, p), K(a, q))),
-        ),
-        truth=run("T", t_decided(), lambda a, p, _: Implies(K(a, p), p)),
-        introspection=run(
-            "4", four_decided(), lambda a, p, _: Implies(K(a, p), K(a, K(a, p)))
-        ),
-    )
+        failed = 0
+        for (p, p_mask), (q, q_mask) in itertools.product(firsts, seconds):
+            for agent, knows in relations:
+                mask = holds(knows, full, p_mask, q_mask)
+                if mask != full:
+                    failed += 1
+                    if len(bad) < 5:
+                        witness = min(
+                            w for i, w in enumerate(model.worlds)
+                            if not mask >> i & 1
+                        )
+                        bad.append((to_text(instance(agent, p, q)), witness))
+        instances = len(firsts) * len(seconds) * len(relations)
+        reports.append(SchemaReport(name, not failed, instances, tuple(bad)))
+    return AxiomReport(*reports)
 
 
 # -- fundamental truth -------------------------------------------------------
@@ -332,21 +327,18 @@ def fundamental_truth_check(model: TopoModel) -> FundamentalTruthReport:
         True there and None otherwise.
     """
     agents = model.agents
-    failures = []
-    pairs = 0
     subsets = [
         frozenset(c)
         for r in range(1, len(agents) + 1)
         for c in itertools.combinations(agents, r)
     ]
-    for g_truster, g_trusted in itertools.product(subsets, repeat=2):
-        for flavor in (TrustFlavor.E, TrustFlavor.D):
-            pairs += 1
-            if not check_trust(model, g_truster, g_trusted, flavor):
-                failures.append(
-                    f"trust({sorted(g_truster)} in {sorted(g_trusted)}, "
-                    f"{flavor.value}) fails"
-                )
+    failures = [
+        f"trust({sorted(g_truster)} in {sorted(g_trusted)}, {flavor.value}) fails"
+        for g_truster, g_trusted in itertools.product(subsets, repeat=2)
+        for flavor in (TrustFlavor.E, TrustFlavor.D)
+        if not check_trust(model, g_truster, g_trusted, flavor)
+    ]
+    vacuity = not failures
 
     pooled = model._group(agents, "D")
     identity = all(succ == 1 << i for i, succ in enumerate(pooled.masks))
@@ -360,8 +352,8 @@ def fundamental_truth_check(model: TopoModel) -> FundamentalTruthReport:
         failures.append(f"D implies truth fails on {sorted(witness)}")
 
     return FundamentalTruthReport(
-        vacuity_holds=not any(f.startswith("trust") for f in failures),
-        pairs_checked=pairs,
+        vacuity_holds=vacuity,
+        pairs_checked=2 * len(subsets) ** 2,
         distributed_truth_holds=distributed_truth,
         distributed_is_identity=identity,
         identity_equivalence_holds=True if identity else None,

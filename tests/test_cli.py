@@ -285,6 +285,18 @@ def test_parse_errors_quote_a_bounded_value(tmp_path, capsys, argv):
 HUGE_ID = "Z" * 500_000
 
 
+def _boolean_fr(cell):
+    """The FR scenario over the Boolean semiring, with ``cell`` as every
+    table's first cell."""
+    def place(obj):
+        obj["semiring"] = "boolean"
+        obj["tables"] = {ctx: {"0,0": cell} for ctx in obj["tables"]}
+    return _model_with(place)
+
+
+FRAME = _frame_with("valuation", {"p": ["u"]})
+
+
 def _disturbing_model(m):
     """Two contexts that disagree on the marginal of ``m``."""
     return {
@@ -298,8 +310,8 @@ def _disturbing_model(m):
     }
 
 
-# files that read as JSON but name a huge id that a later check refuses:
-# the command, the file and the exit code
+# files that read as JSON but name a huge id, number or token that a later
+# check refuses: the command, the file and the exit code
 HUGE_ID_CASES = {
     "unknown measurement in a context": (["analyze"], _model_with(
         lambda o: o["scenario"]["contexts"].__setitem__(0, ["A", HUGE_ID])
@@ -317,6 +329,16 @@ HUGE_ID_CASES = {
     "valuation naming an unknown world": (
         ["modal", "truth"], _frame_with("valuation", {"p" * 500_000: ["x"]}), 2
     ),
+    # the total's denominator has 8000 digits, past Python's 4300-digit
+    # limit for writing an int in decimal
+    "rational total": (["analyze"], _model_with(lambda o: o["tables"]["A,B"].update({
+        "0,0": "1/" + "7" * 4000, "0,1": "1/" + "3" * 3999 + "1",
+        "1,0": "0", "1,1": "0",
+    })), 2),
+    "boolean cell": (["analyze"], _boolean_fr("2" * 4000), 2),
+    "token after a formula": (["modal", "eval", "-f", "p " + "q" * 100_000], FRAME, 2),
+    "agent list": (["modal", "eval", "-f", "K{" + "a," * 50_000 + "} p"], FRAME, 2),
+    "proposition name": (["modal", "eval", "-f", "q" * 100_001], FRAME, 2),
 }
 
 
@@ -339,6 +361,52 @@ def test_an_int_too_long_to_read_exit_2(tmp_path, capsys, argv):
     path.write_text('{"worlds": [' + "9" * 5000 + "]}")
     assert main([*argv, str(path)]) == 2
     assert_one_line_error(capsys)
+
+
+# inputs that each end in exit 2 with exactly one known error line: the
+# command, the file and the line
+EXACT_ERRORS = {
+    "context given twice": (["analyze"], _model_with(
+        lambda o: o["tables"].update({"B,A": o["tables"]["A,B"]})
+    ), "context ('A', 'B') given twice"),
+    "no contexts": (
+        ["analyze"], _model_with(lambda o: o["scenario"].update(contexts=[])),
+        "no contexts",
+    ),
+    "empty context": (
+        ["analyze"], _model_with(lambda o: o["scenario"]["contexts"].append([])),
+        "empty context",
+    ),
+    "empty outcome label": (["analyze"], _model_with(
+        lambda o: o["scenario"]["outcomes"]["A"].append("")
+    ), "invalid outcome label for 'A'"),
+    "no worlds": (
+        ["modal", "truth"], _frame_with("worlds", []),
+        "worlds must be nonempty and distinct",
+    ),
+    "two atoms in a row": (
+        ["modal", "eval", "-f", "p q"], FRAME, "unexpected 'q' (at position 2)"
+    ),
+    # numbers short enough to print are written as str writes them
+    "total that is not 1": (["analyze"], _model_with(
+        lambda o: o["tables"]["A,B"].update({"1,1": "1/6"})
+    ), "table for context ('A', 'B') sums to 5/6, not 1"),
+    "boolean cell of 2": (
+        ["analyze"], _boolean_fr("2"), "boolean cell must be 0 or 1, got 2"
+    ),
+    "negative cell": (["analyze"], _model_with(
+        lambda o: o["tables"]["A,B"].update({"0,1": "-1/3"})
+    ), "negative cell value -1/3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_ERRORS))
+def test_errors_of_each_kind_exit_2(tmp_path, capsys, name):
+    argv, obj, line = EXACT_ERRORS[name]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    assert main([*argv, str(path)]) == 2
+    assert_one_line_error(capsys, line)
 
 
 def test_translate_command(tmp_path):
@@ -622,6 +690,15 @@ def test_analyze_pretty(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "contextuality level  : logical" in out
     assert "noncontextual fraction: 5/6" in out
+
+
+def test_analyze_pretty_without_a_liar_cycle(tmp_path, capsys):
+    # the uniform 4-cycle is noncontextual: no rotation forces a contradiction
+    path = tmp_path / "cycle.json"
+    path.write_text(model_to_json(noisy_cycle_model([1, 1, 1, 1])))
+    assert main(["analyze", str(path), "--pretty"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "liar cycle: no forced contradiction"
 
 
 def test_pretty_is_an_analyze_option_only(tmp_path, capsys):

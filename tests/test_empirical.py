@@ -29,6 +29,7 @@ from epimodal.errors import (
     NotASubcontext,
     UnknownContext,
     UnknownSection,
+    quote,
 )
 
 F = Fraction
@@ -70,6 +71,22 @@ def test_new_model_normalization_error():
         new_model(four_cycle_scenario(), Semiring.RATIONAL, rows)
     assert info.value.total == F(7, 6)
     assert str(info.value) == "table for context ('A', 'B') sums to 7/6, not 1"
+
+
+@pytest.mark.parametrize("value,text", [
+    (F(5, 6), "5/6"),
+    (F(-1, 3), "-1/3"),
+    (F(2), "2"),
+    (10**30 - 1, "9" * 30),
+    (10**30, "<int of 31 digits>"),
+    (-(10**4299), "<int of 4300 digits>"),
+    (F(1, 7 * 10**5000), "1/<int of 5001 digits>"),
+    (F(10**5000 + 1, 10**5000), "<int of 5001 digits>/<int of 5001 digits>"),
+])
+def test_quote_writes_a_number_without_a_long_decimal(value, text):
+    # a number prints as str writes it up to 30 digits, and as its digit
+    # count past that: Python writes no decimal past 4300 digits
+    assert quote(value) == text
 
 
 def test_new_model_other_errors():

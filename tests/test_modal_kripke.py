@@ -323,6 +323,27 @@ def test_oracles_never_read_the_bitmasks(monkeypatch):
     assert _oracle_values(19) == expected
 
 
+def test_topological_oracle_reads_the_input_pairs(monkeypatch):
+    # eval_topological intersects the members' pairs itself: it shares
+    # neither the bitmasks nor the successor maps of the trust oracles
+    rng = random.Random(23)
+    cases = []
+    for n_worlds in (1, 4, 7):
+        m = random_s4_model(rng, n_worlds, 3)
+        cases += [
+            (m, random_formula(rng, list(m.valuation), list(m.agents), depth=3))
+            for _ in range(6)
+        ]
+    expected = [eval_formula(m, phi) for m, phi in cases]
+
+    def unreachable(*args):
+        raise AssertionError("successor map read")
+
+    monkeypatch.setattr(TopoModel, "group_successors", unreachable)
+    monkeypatch.setattr(TopoModel, "_group", unreachable)
+    assert [eval_topological(m, phi) for m, phi in cases] == expected
+
+
 def _empty_group(cls, operand):
     """An E or D node over no agents, which the constructor refuses."""
     node = object.__new__(cls)
