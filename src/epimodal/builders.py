@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 
 from .empirical import EmpiricalModel, Semiring, new_model
-from .errors import NotNormalized, SnapFailure, UnknownContext
+from .errors import NotNormalized, SnapFailure, UnknownContext, quote
 from .scenario import MeasurementScenario, new_scenario, sections
 
 SNAP_TOLERANCE = 1e-9
@@ -73,9 +73,9 @@ def born_table(
     m1, m2 = context
     for m in (m1, m2):
         if m not in _QUBIT:
-            raise UnknownContext(f"unknown agent {m!r}")
+            raise UnknownContext(f"unknown agent {quote(m)}")
     if {_QUBIT[m1], _QUBIT[m2]} != {0, 1}:
-        raise UnknownContext(f"{context} does not pair the two qubits")
+        raise UnknownContext(f"{quote(context)} does not pair the two qubits")
     if _QUBIT[m1] == 1:  # orient as (first qubit, second qubit)
         flipped = born_table(state, (m2, m1))
         return {(b, a): v for (a, b), v in flipped.items()}

@@ -14,7 +14,8 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from collections.abc import Iterable, Mapping
+import math
+from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,18 +38,19 @@ class Semiring(enum.Enum):
 
 
 def _check_value(semiring: Semiring, value) -> Fraction:
-    v = Fraction(value)
+    v = value if isinstance(value, Fraction) else Fraction(value)
     if semiring is Semiring.BOOLEAN and v not in (0, 1):
         raise NegativeValue(f"boolean cell must be 0 or 1, got {quote(v)}")
-    if v < 0:
+    if v.numerator < 0:
         raise NegativeValue(f"negative cell value {quote(v)}")
     return v
 
 
-def _combine(semiring: Semiring, values: Iterable[Fraction]) -> Fraction:
+def _combine(semiring: Semiring, values: Collection[Fraction]) -> Fraction:
     if semiring is Semiring.BOOLEAN:
         return Fraction(int(any(v != 0 for v in values)))
-    return sum(values, Fraction(0))
+    den = math.lcm(*[v.denominator for v in values])
+    return Fraction(sum([v.numerator * (den // v.denominator) for v in values]), den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +74,7 @@ class EmpiricalModel:
     def value(self, context: Iterable[str], section: Section | Mapping[str, str]) -> Fraction:
         ctx = self.scenario.canonical_context(context)
         if ctx not in self.tables:
-            raise UnknownContext(ctx)
+            raise UnknownContext(quote(ctx))
         if isinstance(section, Section):
             sec = section
         else:
@@ -103,8 +105,10 @@ def new_model(
     ``tables`` maps each maximal context (any iterable of its measurements)
     to a mapping section -> value, where sections may be given as Section
     objects, outcome tuples in canonical context order, or those outcomes
-    joined by commas.  Missing sections default to 0.  Each context must
-    normalize: rational values sum to 1, boolean values OR to 1.
+    joined by commas.  Missing sections default to one shared 0; a
+    ``Fraction`` value is taken as it is, any other is read by ``Fraction``.
+    Each context must normalize: rational values sum to 1 over one common
+    denominator, boolean values OR to 1.
     """
     resolved: dict[Context, dict[Section, Fraction]] = {}
     for raw_ctx, cells in tables.items():
@@ -115,19 +119,19 @@ def new_model(
             raise UnknownContext(f"{quote(ctx)} is not a maximal context")
         if ctx in resolved:
             raise UnknownContext(f"context {quote(ctx)} given twice")
-        space = sc.sections(scenario, ctx)
-        table = {sec: Fraction(0) for sec in space}
+        space = {sec.values: sec for sec in sc.sections(scenario, ctx)}
+        table = dict.fromkeys(space.values(), Fraction(0))
         for key, value in cells.items():
             if isinstance(key, Section):
                 sec = key
             else:
-                parts = key.split(",") if isinstance(key, str) else tuple(key)
+                parts = key.split(",") if isinstance(key, str) else list(map(str, key))
                 if len(parts) != len(ctx):
                     raise UnknownSection(
                         f"cell {quote(key)} has {len(parts)} outcomes, "
                         f"context {quote(ctx)} has {len(ctx)} measurements"
                     )
-                sec = Section(ctx, tuple(str(p) for p in parts))
+                sec = space.get(tuple(parts))
             if sec not in table:
                 raise UnknownSection(
                     f"cell {quote(key)} is not a section of {quote(ctx)}"
@@ -158,10 +162,10 @@ def marginal(
     """
     ctx = model.scenario.canonical_context(context)
     if ctx not in model.tables:
-        raise UnknownContext(ctx)
+        raise UnknownContext(quote(ctx))
     sub = model.scenario.canonical_context(subcontext)
     if not set(sub) <= set(ctx):
-        raise NotASubcontext(f"{sub} is not inside {ctx}")
+        raise NotASubcontext(f"{quote(sub)} is not inside {quote(ctx)}")
     # the cells' values grouped by their subsection's values, then one
     # semiring sum and one Section per subsection
     targets = sc.sections(model.scenario, sub)
@@ -246,7 +250,7 @@ def support(model: EmpiricalModel, context: Iterable[str]) -> set[Section]:
     """Sections of a maximal context with nonzero value."""
     ctx = model.scenario.canonical_context(context)
     if ctx not in model.tables:
-        raise UnknownContext(ctx)
+        raise UnknownContext(quote(ctx))
     return {sec for sec, v in model.tables[ctx].items() if v != 0}
 
 

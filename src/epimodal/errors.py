@@ -90,8 +90,8 @@ class IncompatibleFamily(ScenarioError):
         self.second = second
         self.overlap = overlap
         super().__init__(
-            f"sections over {first.context} and {second.context} "
-            f"disagree on {overlap}"
+            f"sections over {quote(first.context)} and {quote(second.context)} "
+            f"disagree on {quote(overlap)}"
         )
 
 

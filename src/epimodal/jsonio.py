@@ -20,13 +20,15 @@ Field names are part of the on-disk contract:
 
 ``dumps`` writes exactly the text of ``json.dumps(payload, indent=2)``
 plus a newline, without the standard library's pure-Python indenting
-encoder: strings go through the C ``encode_basestring_ascii``, a list of
-strings is one join over them, a ``scenario.AssignmentKeys`` listing (the
-reports' global support and mutual worlds) is an array of its keys written
-with one join per head, any other scalar (int, bool, None, float) is
-``json.dumps`` of that scalar alone, and the pieces are joined once.
-Lists and tuples are arrays, dicts are objects in insertion order; a dict
-key that is not a ``str`` raises TypeError.
+encoder.  It appends to one list of pieces and joins it once: a string
+through the C ``encode_basestring_ascii``, on its key's line in a dict; a
+list whose first item is a string by one join over its items (so a list
+of string lists, like the ``[context, key]`` pairs, is one join per
+item); a ``scenario.AssignmentKeys`` listing (global support, mutual
+worlds) head by head, each head's keys one join over its tails; any other
+scalar (int, bool, None, float) by ``json.dumps`` alone.  Lists and tuples
+are arrays, dicts objects in insertion order; a non-``str`` dict key raises
+TypeError.  Reading a model checks and parses each distinct cell text once.
 """
 
 from __future__ import annotations
@@ -61,13 +63,15 @@ def _context_key(context) -> str:
     return ",".join(context)
 
 
-def _keys_text(view: AssignmentKeys, newline: str) -> str:
-    """The text ``json.dumps(list(view), indent=2)`` writes at the depth
-    whose line break and indent are ``newline``, by one join per head.  The
-    escape works character by character, so a key's text is its head's text,
-    a comma and its tail's text: each head and tail is escaped once."""
+def _keys_text(view: AssignmentKeys, newline: str, parts: list) -> None:
+    """Append to ``parts`` the text ``json.dumps(list(view), indent=2)``
+    writes at the depth whose line break and indent are ``newline``.  The
+    escape works character by character, so a key's text is its head's
+    text, a comma and its tail's text: each head and tail is escaped once,
+    and a head's keys are one join over its tails' texts."""
     if not view:
-        return "[]"
+        parts.append("[]")
+        return
 
     def escaped(values) -> str:
         return _string(",".join(values))[1:-1]
@@ -77,12 +81,14 @@ def _keys_text(view: AssignmentKeys, newline: str) -> str:
     texts = {s: [lead + escaped(t) for t in ts] for s, ts in view.tails.items()}
     inner = newline + "  "
     sep = '",' + inner + '"'
-    blocks = []
+    opening = "[" + inner + '"'
     for p, s in view.heads:
         if texts[s]:
-            hp = escaped(p)
-            blocks.append(hp + (sep + hp).join(texts[s]))
-    return "[" + inner + '"' + sep.join(blocks) + '"' + newline + "]"
+            head = escaped(p)
+            parts.append(opening + head)
+            parts.append((sep + head).join(texts[s]))
+            opening = sep
+    parts.append('"' + newline + "]")
 
 
 def _encode(value, newline: str, parts: list) -> None:
@@ -96,13 +102,16 @@ def _encode(value, newline: str, parts: list) -> None:
             return
         inner = newline + "  "
         parts.append("[" + inner)
-        try:
-            parts.append(("," + inner).join(map(_string, value)))
-        except TypeError:  # not a list of strings only
-            for i, item in enumerate(value):
-                if i:
-                    parts.append("," + inner)
-                _encode(item, inner, parts)
+        if isinstance(value[0], str):
+            try:
+                parts.append(("," + inner).join(map(_string, value)) + newline + "]")
+                return
+            except TypeError:  # a later item is not a string
+                pass
+        for i, item in enumerate(value):
+            if i:
+                parts.append("," + inner)
+            _encode(item, inner, parts)
         parts.append(newline + "]")
     elif isinstance(value, dict):
         if not value:
@@ -113,12 +122,15 @@ def _encode(value, newline: str, parts: list) -> None:
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"dict key {key!r} is not a string")
-            parts.append(opening + _string(key) + ": ")
+            if isinstance(item, str):
+                parts.append(opening + _string(key) + ": " + _string(item))
+            else:
+                parts.append(opening + _string(key) + ": ")
+                _encode(item, inner, parts)
             opening = "," + inner
-            _encode(item, inner, parts)
         parts.append(newline + "}")
     elif isinstance(value, AssignmentKeys):  # an ABC: tested after the builtins
-        parts.append(_keys_text(value, newline))
+        _keys_text(value, newline, parts)
     else:
         parts.append(json.dumps(value))
 
@@ -186,12 +198,14 @@ def model_from_obj(obj) -> EmpiricalModel:
     try:
         scenario = scenario_from_obj(obj["scenario"])
         semiring = Semiring(obj["semiring"])
-        tables = {
-            ctx_key: {
-                cell: _cell(value) for cell, value in cells.items()
-            }
-            for ctx_key, cells in obj["tables"].items()
-        }
+        parsed: dict[str, Fraction] = {}  # each distinct cell text, checked once
+        tables = {}
+        for ctx_key, cells in obj["tables"].items():
+            tables[ctx_key] = table = {}
+            for cell, value in cells.items():
+                if not isinstance(value, str) or value not in parsed:
+                    parsed[value] = _cell(value)
+                table[cell] = parsed[value]
     except (
         AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError
     ) as exc:

@@ -187,9 +187,9 @@ class TopoModel:
             pairs = frozenset((str(a), str(b)) for a, b in relations[agent])
             for a, b in pairs:
                 if a not in ws or b not in ws:
-                    raise NotS4(f"relation of {agent} mentions unknown world")
+                    raise NotS4(f"relation of {quote(agent)} mentions unknown world")
             if require_s4 and not is_preorder(ws, pairs):
-                raise NotS4(f"relation of {agent} is not reflexive-transitive")
+                raise NotS4(f"relation of {quote(agent)} is not reflexive-transitive")
             rel[agent] = pairs
         val = {
             str(p): frozenset(str(w) for w in where)

@@ -261,7 +261,7 @@ def sections(scenario: MeasurementScenario, context: Iterable[str]) -> list[Sect
     """All sections over a context, in lexicographic (measurement, outcome) order."""
     ctx = scenario.canonical_context(context)
     if not scenario.is_context(ctx):
-        raise UnknownContext(ctx)
+        raise UnknownContext(quote(ctx))
     pools = [scenario.outcomes[m] for m in ctx]
     return [Section(ctx, combo) for combo in itertools.product(*pools)]
 
@@ -276,7 +276,7 @@ def restrict(section: Section, subcontext: Iterable[str]) -> Section:
     """Project a section onto a subcontext (order is inherited)."""
     sub = set(subcontext)
     if not sub <= set(section.context):
-        raise NotASubcontext(f"{sorted(sub)} is not inside {section.context}")
+        raise NotASubcontext(f"{quote(sorted(sub))} is not inside {quote(section.context)}")
     ctx = tuple(m for m in section.context if m in sub)
     return Section(ctx, tuple(section[m] for m in ctx))
 
@@ -292,7 +292,7 @@ def projection(
     """
     sub = set(subcontext)
     if not sub <= set(context):
-        raise NotASubcontext(f"{sorted(sub)} is not inside {context}")
+        raise NotASubcontext(f"{quote(sorted(sub))} is not inside {quote(context)}")
     return picker([i for i, m in enumerate(context) if m in sub])
 
 
@@ -372,5 +372,5 @@ def glue(scenario: MeasurementScenario, family: Sequence[Section]) -> GlobalSect
         values.update(sec.as_dict())
     missing = set(scenario.measurements) - set(values)
     if missing:
-        raise IncompleteCover(sorted(missing))
+        raise IncompleteCover(quote(sorted(missing)))
     return scenario.section(values)

@@ -78,9 +78,9 @@ def test_born_table_float_row_sums_near_one():
 
 
 def test_born_table_rejects_same_qubit_pairs():
-    with pytest.raises(UnknownContext):
+    with pytest.raises(UnknownContext, match=r"^\('A', 'U'\) does not pair the two qubits$"):
         born_table(fr_state(), ("A", "U"))
-    with pytest.raises(UnknownContext):
+    with pytest.raises(UnknownContext, match=r"^unknown agent 'Q'$"):
         born_table(fr_state(), ("A", "Q"))
 
 

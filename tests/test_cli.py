@@ -9,6 +9,7 @@ import epimodal.cli
 import epimodal.contextuality
 import epimodal.dot
 import epimodal.empirical
+import epimodal.jsonio
 import epimodal.ratlp
 import epimodal.scenario
 from epimodal import (
@@ -297,6 +298,14 @@ def _boolean_fr(cell):
 FRAME = _frame_with("valuation", {"p": ["u"]})
 
 
+def _frame_of_one_agent(agent, pairs):
+    """Two worlds and one agent whose relation is ``pairs``."""
+    return {
+        "worlds": ["u", "v"], "agents": [agent],
+        "relations": {agent: pairs}, "valuation": {},
+    }
+
+
 def _disturbing_model(m):
     """Two contexts that disagree on the marginal of ``m``."""
     return {
@@ -339,6 +348,12 @@ HUGE_ID_CASES = {
     "token after a formula": (["modal", "eval", "-f", "p " + "q" * 100_000], FRAME, 2),
     "agent list": (["modal", "eval", "-f", "K{" + "a," * 50_000 + "} p"], FRAME, 2),
     "proposition name": (["modal", "eval", "-f", "q" * 100_001], FRAME, 2),
+    "agent of a relation that is not reflexive": (
+        ["modal", "truth"], _frame_of_one_agent("a" * 300_000, [["u", "v"]]), 2
+    ),
+    "agent of a relation naming an unknown world": (
+        ["modal", "truth"], _frame_of_one_agent("a" * 300_000, [["u", "x"]]), 2
+    ),
 }
 
 
@@ -397,6 +412,14 @@ EXACT_ERRORS = {
     "negative cell": (["analyze"], _model_with(
         lambda o: o["tables"]["A,B"].update({"0,1": "-1/3"})
     ), "negative cell value -1/3"),
+    "relation that is not reflexive": (
+        ["modal", "truth"], _frame_of_one_agent("a", [["u", "v"]]),
+        "relation of 'a' is not reflexive-transitive",
+    ),
+    "relation naming an unknown world": (
+        ["modal", "truth"], _frame_of_one_agent("a", [["u", "x"]]),
+        "relation of 'a' mentions unknown world",
+    ),
 }
 
 
@@ -563,6 +586,32 @@ def test_analyze_runs_each_stage_once(fr_model, monkeypatch):
         "collapse_rational": 0,
         "translate": 1,
     }
+
+
+def test_file_stages_run_once_per_cell_text_and_listing(
+    tmp_path, capsys, monkeypatch
+):
+    # a 14-measurement Boolean model holds many cells but two cell texts,
+    # "0" and "1"; its report holds two listings, the global support and
+    # the mutual worlds
+    path = tmp_path / "hardy.json"
+    path.write_text(model_to_json(hardy_cycle(14)))
+    expected = json.dumps(analysis_report(hardy_cycle(14)), indent=2, default=list)
+    calls = {"_cell": 0, "_keys_text": 0}
+
+    def counting(name):
+        fn = getattr(epimodal.jsonio, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(epimodal.jsonio, name, counting(name))
+    assert main(["analyze", str(path)]) == 11  # logical
+    assert capsys.readouterr().out == expected + "\n"
+    assert calls == {"_cell": 2, "_keys_text": 2}
 
 
 def test_bundle_runs_each_stage_once(monkeypatch):

@@ -21,9 +21,14 @@ import epimodal.empirical
 from epimodal.contextuality import classify, noncontextual_fraction_certified
 from epimodal.empirical import require_no_disturbance
 from epimodal.modal import translate
-from epimodal.scenario import all_contexts, restrict, sections
+from epimodal.builders import born_table, fr_state
+from epimodal.scenario import (
+    Section, all_contexts, glue, projection, restrict, sections,
+)
 from epimodal.errors import (
     DisturbingModel,
+    IncompatibleFamily,
+    IncompleteCover,
     NegativeValue,
     NormalizationError,
     NotASubcontext,
@@ -109,6 +114,73 @@ def test_new_model_other_errors():
         new_model(scen, Semiring.RATIONAL, rows)
     with pytest.raises(NegativeValue):
         new_model(scen, Semiring.BOOLEAN, {c: {"0,0": 2} for c in table_one_rows()})
+
+
+def test_new_model_keeps_a_fraction_and_reads_str_and_int_values():
+    scen = new_scenario(["A"], [["A"]], {"A": ["0", "1", "2"]})
+    space = sections(scen, ["A"])
+    third = F(1, 3)
+    thirds = new_model(
+        scen, Semiring.RATIONAL, {("A",): {"0": third, "1": "1/3", "2": "2/6"}}
+    )
+    values = [thirds.tables[("A",)][sec] for sec in space]
+    assert values[0] is third and values == [third] * 3
+    for semiring, cells, expected in [
+        (Semiring.RATIONAL, {"1": 1}, [0, 1, 0]),
+        (Semiring.BOOLEAN, {"0": 1, "2": "1"}, [1, 0, 1]),
+    ]:
+        table = new_model(scen, semiring, {("A",): cells}).tables[("A",)]
+        assert [table[sec] for sec in space] == expected
+        assert all(type(v) is Fraction for v in table.values())
+
+
+@settings(max_examples=200)
+@given(st.lists(st.fractions(0, 1, max_denominator=12), min_size=1, max_size=6))
+def test_a_rational_total_is_the_exact_sum(values):
+    scen = new_scenario(["A"], [["A"]], {"A": [str(i) for i in range(len(values))]})
+    cells = {str(i): v for i, v in enumerate(values)}
+    total = sum(values, F(0))
+    if total == 1:
+        assert new_model(scen, Semiring.RATIONAL, {("A",): cells}).tables
+        return
+    with pytest.raises(NormalizationError) as info:
+        new_model(scen, Semiring.RATIONAL, {("A",): cells})
+    assert info.value.total == total and type(info.value.total) is Fraction
+
+
+HUGE = "Z" * 100_000
+HUGE_SCENARIO = new_scenario(
+    [HUGE, "B", "C"], [[HUGE, "B"], ["B", "C"]],
+    {m: ["0", "1"] for m in (HUGE, "B", "C")},
+)
+HUGE_MODEL = new_model(HUGE_SCENARIO, Semiring.BOOLEAN, {
+    (HUGE, "B"): {"0,0": 1}, ("B", "C"): {"0,0": 1},
+})
+
+
+# calls whose error names a context or agent holding a 10^5-character id
+@pytest.mark.parametrize("call,error", [
+    (lambda: HUGE_MODEL.value((HUGE, "C"), {HUGE: "0", "C": "0"}), UnknownContext),
+    (lambda: marginal(HUGE_MODEL, (HUGE, "C"), ("C",)), UnknownContext),
+    (lambda: marginal(HUGE_MODEL, (HUGE, "B"), ("C",)), NotASubcontext),
+    (lambda: support(HUGE_MODEL, (HUGE, "C")), UnknownContext),
+    (lambda: sections(HUGE_SCENARIO, (HUGE, "C")), UnknownContext),
+    (lambda: glue(HUGE_SCENARIO, [
+        Section((HUGE, "B"), ("0", "0")), Section(("B", "C"), ("1", "0")),
+    ]), IncompatibleFamily),
+    (lambda: glue(HUGE_SCENARIO, [Section(("B", "C"), ("0", "0"))]), IncompleteCover),
+    (lambda: restrict(Section(("B",), ("0",)), [HUGE]), NotASubcontext),
+    (lambda: projection(("B",), [HUGE]), NotASubcontext),
+    (lambda: born_table(fr_state(), (HUGE, "B")), UnknownContext),
+], ids=[
+    "value", "marginal", "subcontext", "support", "sections", "glue",
+    "cover", "restrict", "projection", "born",
+])
+def test_errors_quote_a_bounded_id(call, error):
+    with pytest.raises(error) as info:
+        call()
+    text = str(info.value)
+    assert "Z" * 10 + "..." in text and len(text) <= 200, text
 
 
 def test_marginal_table_one(fr_by_hand):

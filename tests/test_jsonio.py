@@ -1,12 +1,16 @@
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epimodal import Semiring, build_pr_model, build_wigner_model, classify
+from epimodal import (
+    Semiring, build_pr_model, build_wigner_model, classify, new_model, new_scenario,
+)
+from epimodal.errors import EpimodalError, quote
 from epimodal.jsonio import (
     ParseError,
     contextuality_to_obj,
@@ -60,6 +64,101 @@ def test_boolean_model_round_trip(pr_model):
 def test_wigner_model_round_trip():
     m = build_wigner_model(0.6, 0.8, compatible=False)
     assert model_from_json(model_to_json(m)) == m
+
+
+# the cell texts of a drawn model: every value under more than one text
+def _texts(weight: int, total: int) -> list[str]:
+    texts = [f"{weight}/{total}", f"{2 * weight}/{2 * total}", f"+{weight}/{total}"]
+    if weight == 0:
+        texts += ["0", "-0", "00"]
+    if weight == total:
+        texts += ["1", "01"]
+    return texts
+
+
+# values a cell may not hold, each placed in two or more cells: not the
+# rational-string form, negative, or not 0 or 1 in a Boolean model
+BAD_CELLS = ["0.5", " 1", "1e3", 1, None, [1], "-1/3", "1/2"]
+RATIONAL = "[+-]?[0-9]+(/[0-9]+)?"
+
+
+@st.composite
+def model_texts(draw):
+    """The JSON text of a model on a chain of two-measurement contexts:
+    rational cells from drawn weights, over their sum or one more (a table
+    that does not normalize), or Boolean ones; a zero cell left out now and
+    then, and one bad value in two or more cells one time in three."""
+    n = draw(st.integers(2, 4))
+    names = [f"M{i}" for i in range(n)]
+    outcomes = {m: [str(o) for o in range(draw(st.integers(1, 3)))] for m in names}
+    contexts = [names[i:i + 2] for i in range(n - 1)]
+    semiring = draw(st.sampled_from(["rational", "boolean"]))
+    high = 3 if semiring == "rational" else 1
+    tables = {}
+    for a, b in contexts:
+        keys = [f"{x},{y}" for x in outcomes[a] for y in outcomes[b]]
+        weights = draw(st.lists(
+            st.integers(0, high), min_size=len(keys), max_size=len(keys)
+        ).filter(any))
+        total = 1 if semiring == "boolean" else sum(weights) + draw(st.integers(0, 1))
+        tables[f"{a},{b}"] = {
+            key: draw(st.sampled_from(_texts(w, total)))
+            for key, w in zip(keys, weights)
+            if w or draw(st.booleans())
+        }
+    cells = [(ctx, key) for ctx, table in tables.items() for key in table]
+    if len(cells) >= 2 and draw(st.integers(0, 2)) == 0:
+        bad = draw(st.sampled_from(BAD_CELLS))
+        for ctx, key in draw(st.lists(st.sampled_from(cells), min_size=2, unique=True)):
+            tables[ctx][key] = bad
+    scenario = {"measurements": names, "contexts": contexts, "outcomes": outcomes}
+    return json.dumps({"scenario": scenario, "semiring": semiring, "tables": tables})
+
+
+def read_cell_by_cell(text):
+    """The model of ``text`` by a second route: each cell checked for the
+    rational-string form and read by ``Fraction`` on its own, then
+    ``new_model``."""
+    obj = json.loads(text)
+    tables = {}
+    for ctx, cells in obj["tables"].items():
+        tables[ctx] = {}
+        for key, value in cells.items():
+            if not isinstance(value, str) or not re.fullmatch(RATIONAL, value):
+                what = "is not a rational string like \"1/3\""
+                raise ParseError(f"cell {quote(value)} {what}")
+            tables[ctx][key] = Fraction(value)
+    scenario = scenario_from_obj(obj["scenario"])
+    return new_model(scenario, Semiring(obj["semiring"]), tables)
+
+
+def _outcome(read, text):
+    try:
+        model = read(text)
+    except EpimodalError as exc:
+        return type(exc), str(exc)
+    assert all(type(v) is Fraction for t in model.tables.values() for v in t.values())
+    return model
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_texts())
+def test_model_from_json_reads_as_cell_by_cell(text):
+    assert _outcome(model_from_json, text) == _outcome(read_cell_by_cell, text)
+
+
+@pytest.mark.parametrize("bad", BAD_CELLS)
+def test_a_bad_cell_in_every_place_reads_as_cell_by_cell(bad):
+    scenario = new_scenario(["A", "B"], [["A", "B"]], {m: ["0", "1"] for m in "AB"})
+    cells = dict.fromkeys(["0,0", "0,1", "1,0", "1,1"], bad)
+    for semiring in ("rational", "boolean"):
+        text = json.dumps({
+            "scenario": scenario_to_obj(scenario), "semiring": semiring,
+            "tables": {"A,B": cells},
+        })
+        expected = _outcome(read_cell_by_cell, text)
+        assert isinstance(expected, tuple)  # an error, as its class and text
+        assert _outcome(model_from_json, text) == expected
 
 
 def test_model_parse_errors():
@@ -159,22 +258,51 @@ _leaves = st.one_of(
     st.floats(),
     _strings,
 )
+
+
+@st.composite
+def _listings(draw):
+    """A keys view of up to 3 measurements, split into heads and tails at
+    any place, whose first heads may have no tails."""
+    outcomes = draw(st.lists(
+        st.lists(_strings, min_size=1, max_size=2).map(tuple), max_size=3
+    ))
+    middle = draw(st.integers(0, len(outcomes)))
+    heads = [(p, p) for p in itertools.product(*outcomes[:middle])]
+    rest = list(itertools.product(*outcomes[middle:]))
+    bare = draw(st.integers(0, len(heads)))  # heads listed without tails
+    tails = {p: [] if i < bare else rest for i, (p, _) in enumerate(heads)}
+    names = tuple(f"M{i}" for i in range(len(outcomes)))
+    return Assignments(names, heads, tails).keys()
+
+
 _trees = st.recursive(
     _leaves,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.lists(_strings, max_size=5),
-        st.dictionaries(_strings, children, max_size=4),
+        # a string first and anything after it
+        st.tuples(_strings, st.lists(children, min_size=1, max_size=3)).map(
+            lambda t: [t[0], *t[1]]
+        ),
+        # lists of string lists, like the reports' [context, key] pairs
+        st.lists(st.lists(_strings, max_size=3), max_size=4),
+        st.dictionaries(_strings, st.one_of(_strings, children), max_size=4),
+        # a listing at depth 2 or more
+        st.tuples(_strings, children, _listings()).map(
+            lambda t: [{t[0]: t[2], "next": t[1]}]
+        ),
     ),
     max_leaves=30,
 )
 
 
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 @given(_trees)
 def test_dumps_is_the_standard_indent_2_text(tree):
-    assert dumps(tree) == json.dumps(tree, indent=2) + "\n"
+    # json writes a listing as the list of its keys
+    assert dumps(tree) == json.dumps(tree, indent=2, default=list) + "\n"
 
 
 # Printable ASCII (which holds the quote and the backslash), and strings
